@@ -3,9 +3,10 @@
 // The paper demos a single node; a deployed TPMS carries four. With each
 // SP12 timer at its own RC tolerance, beacon phases drift through each
 // other and frames occasionally overlap on air. This bench measures the
-// collision rate from merged simulations and checks it against the
-// unslotted-ALOHA closed form — the classic justification for why a 14 ms
-// frame every 6 s needs no MAC at all.
+// collision rate at the receiver on the shared event timeline (four nodes
+// and one base station) and checks it against the unslotted-ALOHA closed
+// form — the classic justification for why a 14 ms frame every 6 s needs
+// no MAC at all.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -42,8 +43,8 @@ int main(int argc, char** argv) {
   // Scaling with fleet size: a dense deployment (the intro's "very dense
   // collaborative networks") eventually needs more than pure ALOHA.
   // Stepped by the sharded fleet engine's domain partitioning (one cell =
-  // the same one-receiver physics) instead of merging N independent
-  // timelines — hundreds of nodes cost milliseconds, not minutes.
+  // the same one-receiver physics) instead of the event timeline —
+  // hundreds of nodes cost milliseconds, not minutes.
   Table scale("collision rate vs fleet size (30 min each)");
   scale.set_header({"nodes", "measured", "ALOHA prediction"});
   std::vector<double> xs, ys;
@@ -67,7 +68,6 @@ int main(int argc, char** argv) {
   core::FleetConfig xc;
   xc.nodes = 32;
   xc.sim_time = Duration{900.0};
-  xc.medium = core::FleetConfig::Medium::kShared;
   const auto shared = core::FleetAnalysis::run(xc);
   // The telemetry-instrumented run: series/flight/sim-time spans land on
   // the cross-validation fleet (the one whose numbers the checks gate).

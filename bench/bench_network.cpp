@@ -10,8 +10,7 @@
 // die, while the ARQ node buys delivery back with retries.
 //
 // A second section runs the four-wheel fleet on the shared-medium model
-// (N nodes + one base station on one event timeline) and checks the run
-// is bitwise identical at any thread count.
+// (N nodes + one base station on one event timeline), ARQ against beacon.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -82,16 +81,6 @@ LinkRun run_node(core::NodeConfig::Link::Mode mode, double distance_m) {
 
 std::string nj(double joules) { return fixed(joules * 1e9, 1) + " nJ"; }
 
-bool same_run(const core::FleetResult& a, const core::FleetResult& b) {
-  return a.frames_total == b.frames_total && a.frames_collided == b.frames_collided &&
-         a.frames_captured == b.frames_captured &&
-         a.frames_delivered == b.frames_delivered && a.dup_rx == b.dup_rx &&
-         a.tx_attempts == b.tx_attempts && a.retries == b.retries &&
-         a.acked == b.acked && a.arq_failed == b.arq_failed &&
-         a.energy_out_j == b.energy_out_j &&
-         a.energy_per_delivered_bit_j == b.energy_per_delivered_bit_j;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,39 +131,33 @@ int main(int argc, char** argv) {
   core::FleetConfig fc;
   fc.nodes = 4;
   fc.sim_time = Duration{600.0};
-  fc.medium = core::FleetConfig::Medium::kShared;
   fc.arq = true;
-  fc.threads = 1;
-  const auto fleet1 = core::FleetAnalysis::run(fc);
-  fc.threads = 4;
-  const auto fleet4 = core::FleetAnalysis::run(fc);
-  fc.threads = 8;
-  const auto fleet8 = core::FleetAnalysis::run(fc);
+  const auto fleet_arq = core::FleetAnalysis::run(fc);
   core::FleetConfig fb = fc;
   fb.arq = false;
   const auto fleet_beacon = core::FleetAnalysis::run(fb);
 
   Table ft("four nodes + one station, shared medium (600 s)");
   ft.set_header({"metric", "ARQ fleet", "beacon fleet"});
-  ft.add_row({"frames on air", std::to_string(fleet1.frames_total),
+  ft.add_row({"frames on air", std::to_string(fleet_arq.frames_total),
               std::to_string(fleet_beacon.frames_total)});
-  ft.add_row({"collided", std::to_string(fleet1.frames_collided),
+  ft.add_row({"collided", std::to_string(fleet_arq.frames_collided),
               std::to_string(fleet_beacon.frames_collided)});
-  ft.add_row({"delivered (unique)", std::to_string(fleet1.frames_delivered),
+  ft.add_row({"delivered (unique)", std::to_string(fleet_arq.frames_delivered),
               std::to_string(fleet_beacon.frames_delivered)});
-  ft.add_row({"duplicates", std::to_string(fleet1.dup_rx),
+  ft.add_row({"duplicates", std::to_string(fleet_arq.dup_rx),
               std::to_string(fleet_beacon.dup_rx)});
   ft.add_row({"ARQ acked / failed",
-              std::to_string(fleet1.acked) + " / " + std::to_string(fleet1.arq_failed),
+              std::to_string(fleet_arq.acked) + " / " + std::to_string(fleet_arq.arq_failed),
               "-"});
-  ft.add_row({"energy/bit", nj(fleet1.energy_per_delivered_bit_j),
+  ft.add_row({"energy/bit", nj(fleet_arq.energy_per_delivered_bit_j),
               nj(fleet_beacon.energy_per_delivered_bit_j)});
   ft.print(std::cout);
 
-  io.metric("fleet_arq.frames_total", static_cast<double>(fleet1.frames_total));
-  io.metric("fleet_arq.delivered", static_cast<double>(fleet1.frames_delivered));
-  io.metric("fleet_arq.acked", static_cast<double>(fleet1.acked));
-  io.metric("fleet_arq.energy_per_bit_nj", fleet1.energy_per_delivered_bit_j * 1e9);
+  io.metric("fleet_arq.frames_total", static_cast<double>(fleet_arq.frames_total));
+  io.metric("fleet_arq.delivered", static_cast<double>(fleet_arq.frames_delivered));
+  io.metric("fleet_arq.acked", static_cast<double>(fleet_arq.acked));
+  io.metric("fleet_arq.energy_per_bit_nj", fleet_arq.energy_per_delivered_bit_j * 1e9);
   io.metric("fleet_beacon.delivered", static_cast<double>(fleet_beacon.frames_delivered));
   io.metric("fleet_beacon.energy_per_bit_nj",
             fleet_beacon.energy_per_delivered_bit_j * 1e9);
@@ -193,13 +176,9 @@ int main(int argc, char** argv) {
                  arq_near.energy_per_bit_j >= beacon_near.energy_per_bit_j);
   check.add_text("retries actually ran at range", "> 0 @ 3 m",
                  std::to_string(arq_far.retries), arq_far.retries > 0);
-  check.add_text("shared-medium fleet is thread-count invariant",
-                 "runs @ 1/4/8 threads identical", same_run(fleet1, fleet4) &&
-                 same_run(fleet1, fleet8) ? "identical" : "DIVERGED",
-                 same_run(fleet1, fleet4) && same_run(fleet1, fleet8));
   check.add_text("fleet ARQ delivers with duplicates bounded",
                  "dup RX < ACKed frames",
-                 std::to_string(fleet1.dup_rx) + " vs " + std::to_string(fleet1.acked),
-                 fleet1.acked > 0 && fleet1.dup_rx < fleet1.acked);
+                 std::to_string(fleet_arq.dup_rx) + " vs " + std::to_string(fleet_arq.acked),
+                 fleet_arq.acked > 0 && fleet_arq.dup_rx < fleet_arq.acked);
   return io.finish(check);
 }

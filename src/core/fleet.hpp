@@ -6,24 +6,20 @@
 // the OOK receiver captures neither — unless one is strong enough to
 // capture through.
 //
-// Two media models (FleetConfig::Medium):
-//   kIntervalMerge — the historical estimate: N independent node
-//     simulations, transmitted frame intervals merged onto one timeline,
-//     overlaps counted by sweep line (no receiver, no capture, no ARQ).
-//   kShared — the real thing: N nodes and one net::BaseStation share one
-//     event simulator; the station resolves capture/collision per frame
-//     and (in ARQ mode) answers with wake-up ACK bursts, so retries,
-//     duplicates and energy-per-delivered-bit come out of the same run.
-//     One timeline makes the result identical at any thread count.
-// Both are checked against the unslotted-ALOHA prediction
+// The shared timeline: N nodes and one net::BaseStation share one event
+// simulator; the station resolves capture/collision per frame and (in
+// ARQ mode) answers with wake-up ACK bursts, so retries, duplicates and
+// energy-per-delivered-bit come out of the same run. One sequential
+// timeline makes the result a pure function of the config. Collision
+// rates are checked against the unslotted-ALOHA prediction
 // P(collision) ≈ 1 − e^{−2(N−1)τ/T}.
 //
-// For city-scale fleets (100k+ nodes) neither model fits: one timeline is
-// O(events) serial, and per-node simulators still pay full event cost per
-// wake. fleet::ShardedFleetEngine (src/fleet/engine.hpp) partitions the
-// medium into spatial collision domains driven by a closed-form cycle
-// kernel; fleet::spec_from_fleet_config maps a FleetConfig onto it for
-// apples-to-apples comparisons with kShared physics.
+// For city-scale fleets (100k+ nodes) one timeline is O(events) serial.
+// fleet::ShardedFleetEngine (src/fleet/engine.hpp) partitions the medium
+// into spatial collision domains driven by a closed-form cycle kernel;
+// fleet::spec_from_fleet_config maps a FleetConfig onto it with the same
+// physics. This timeline is the kernel's independent oracle: for beacon
+// fleets the two agree exactly (tests/fleet_oracle_test.cpp).
 #pragma once
 
 #include <vector>
@@ -49,19 +45,11 @@ struct FleetConfig {
   // the collision analysis does not need the power chain.
   bool attach_harvester = false;
   NodeConfig::HarvestFidelity harvest_fidelity = NodeConfig::HarvestFidelity::kBehavioral;
-  // Fault plan applied identically to every node in the fleet (each node's
-  // injector runs on its own simulator — or on the shared timeline with
-  // per-node seeds — so outcomes stay deterministic).
+  // Fault plan applied identically to every node in the fleet (each
+  // node's injector runs on the shared timeline with a per-node seed, so
+  // outcomes stay deterministic).
   fault::FaultPlan faults;
-  // Worker concurrency for the per-node simulations (0 = hardware
-  // concurrency). The result is identical at any thread count: interval
-  // draws stay sequential and per-node frames are merged in node order.
-  // Inert in kShared mode, which runs one timeline sequentially.
-  unsigned threads = 0;
 
-  // Medium model (see header comment).
-  enum class Medium { kIntervalMerge, kShared };
-  Medium medium = Medium::kIntervalMerge;
   // Shared-medium knobs: link policy per node and the station itself.
   bool arq = false;  // kArq on every node (false: beacon into the station)
   net::ArqParams arq_params;
@@ -74,14 +62,13 @@ struct FleetConfig {
 struct FleetResult {
   int nodes = 0;
   std::uint64_t frames_total = 0;
-  std::uint64_t frames_collided = 0;  // frames overlapping any other frame
+  std::uint64_t frames_collided = 0;  // lost to interference at the station
   double collision_rate = 0.0;        // collided / total
   double aloha_prediction = 0.0;      // 1 - exp(-2 (N-1) tau / T)
   Duration mean_airtime{};
   // Per-node actual timer intervals (for reporting).
   std::vector<double> intervals_s;
 
-  // Shared-medium extras (Medium::kShared only; zero otherwise).
   std::uint64_t frames_captured = 0;   // decoded through interference
   std::uint64_t frames_delivered = 0;  // unique frames at the station
   std::uint64_t dup_rx = 0;
@@ -96,16 +83,12 @@ struct FleetResult {
 
 class FleetAnalysis {
  public:
-  // Run the fleet with the configured medium model.
+  // Run the fleet on the shared timeline.
   [[nodiscard]] static FleetResult run(const FleetConfig& cfg);
 
   // Closed-form unslotted-ALOHA collision probability.
   [[nodiscard]] static double aloha_collision_probability(int nodes, Duration airtime,
                                                           Duration interval);
-
- private:
-  [[nodiscard]] static FleetResult run_interval_merge(const FleetConfig& cfg);
-  [[nodiscard]] static FleetResult run_shared_medium(const FleetConfig& cfg);
 };
 
 }  // namespace pico::core

@@ -2,9 +2,11 @@
 // work-stealing runner, stepped by the closed-form node kernel.
 //
 // This is the 100k+-node path (ROADMAP: city-scale fleets). The scalar
-// shared-medium fleet (core::FleetAnalysis, Medium::kShared) puts every
-// node on one event queue and every frame in one receiver — faithful, but
-// serial and O(events) per wake cycle. The sharded engine exploits two
+// shared-medium fleet (core::FleetAnalysis) puts every node on one event
+// queue and every frame in one receiver — faithful, but serial and
+// O(events) per wake cycle. It stays the engine's independent oracle:
+// for beacon fleets the two agree exactly on frames, collisions and
+// deliveries (tests/fleet_oracle_test.cpp). The sharded engine exploits two
 // structural facts:
 //
 //   * Radio range is meters; a fleet spans kilometers. Partitioning space
@@ -16,8 +18,8 @@
 // Determinism contract: results are bit-identical for any combination of
 // shard count and thread count. Per-node randomness comes from
 // Rng::stream(seed, node), domains are fixed by geometry (shards only
-// group domains into runner tasks), the epoch barrier exchanges boundary
-// frames in domain order, and counters reduce in domain order.
+// group domains into runner tasks), boundary frames merge into each inbox
+// in a fixed (start, id) order, and counters reduce in domain order.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +71,7 @@ struct FleetSpec {
   double interference_margin_m = 2.0;
   double gateway_height_m = 1.0;
   // > 0: every link (own and exported) uses this fixed range instead of
-  // the geometric distance — the scalar kShared medium's "all nodes at
+  // the geometric distance — the scalar shared timeline's "all nodes at
   // 1 m" physics, for apples-to-apples comparisons.
   double fixed_distance_m = 0.0;
 
@@ -89,12 +91,6 @@ struct FleetSpec {
   std::size_t shards = 0;
   unsigned threads = 0;
   double epoch_s = 30.0;
-  // true: run the pre-calendar engine — node-major timer scans, a serial
-  // exchange splice, and a per-epoch sort (EpochPath::kLegacy). Outcomes
-  // and fingerprints are bit-identical to the default path; only cost
-  // differs. This is the cross-validation and benchmark reference
-  // (bench_fleet_scale E19 prices the active path against it).
-  bool legacy_epoch_path = false;
 
   // Node model: calibration basis for the cycle kernel. Beacon mode or
   // stop-and-wait ARQ (node.link.mode = kArq): an ARQ wake fires a whole
@@ -281,7 +277,7 @@ class ShardedFleetEngine {
                                         obs::TelemetrySession* session);
 };
 
-// Map a core::FleetConfig onto the sharded engine with kShared-comparable
+// Map a core::FleetConfig onto the sharded engine with shared-timeline
 // physics: every link at the uplink's fixed distance, the station's
 // capture margin and squelch, the same interval-draw seed and discipline.
 // `domains` > 1 spreads the same fleet over that many cells (each cell

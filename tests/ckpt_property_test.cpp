@@ -3,7 +3,7 @@
 //   A fleet run checkpointed at ANY epoch barrier and resumed in a fresh
 //   session is bit-identical to the uninterrupted run — metrics
 //   fingerprint, flight fingerprint, series rows — for every shard and
-//   thread count and on both epoch paths.
+//   thread count.
 //
 // Trials are drawn from the scenario generator (seeded, reproducible) so
 // the property is exercised over fleets with varying population, spread,
@@ -134,8 +134,7 @@ std::string repro_line(const scenario::GeneratorParams& p, std::uint64_t index,
   return "repro: corpus_seed=" + std::to_string(p.seed) +
          " index=" + std::to_string(index) + " cut_epoch=" + std::to_string(cut) +
          " shards=" + std::to_string(spec.shards) +
-         " threads=" + std::to_string(spec.threads) +
-         " legacy=" + (spec.legacy_epoch_path ? "1" : "0");
+         " threads=" + std::to_string(spec.threads);
 }
 
 }  // namespace
@@ -189,47 +188,6 @@ TEST(FleetCheckpointTest, PortableAcrossShardAndThreadSweep) {
       EXPECT_TRUE(equal(base, r))
           << repro_line(p, 1, cut, resume_spec) << " (saved under 1x1)";
     }
-  }
-}
-
-// The same property holds on the legacy epoch path (node-major timer
-// scans); legacy blobs resume legacy sessions bit-identically.
-TEST(FleetCheckpointTest, LegacyEpochPathResumesBitIdentical) {
-  const scenario::GeneratorParams p = test_params();
-  const scenario::GeneratedScenario gen = scenario::generate(p, 2);
-  fleet::FleetSpec spec = gen.spec;
-  spec.legacy_epoch_path = true;
-  const RunResult base = run_uninterrupted(spec);
-  const std::uint64_t n_epochs = epochs_in(spec);
-  for (std::uint64_t cut : {std::uint64_t{1}, n_epochs / 2, n_epochs - 1}) {
-    EXPECT_TRUE(equal(base, run_resumed(spec, cut, spec)))
-        << repro_line(p, 2, cut, spec);
-  }
-}
-
-// Pending/carry air-run state is path-specific, so a blob saved on one
-// epoch path must refuse to restore into the other — with an error that
-// names the offending field, not a silent divergence.
-TEST(FleetCheckpointTest, RejectsCrossPathRestore) {
-  const scenario::GeneratorParams p = test_params();
-  const scenario::GeneratedScenario gen = scenario::generate(p, 0);
-  std::vector<std::uint8_t> blob;
-  {
-    Obs o;
-    fleet::FleetSession s(gen.spec, o.hooks());
-    s.run_until(s.epoch_step_s());
-    blob = s.save();
-  }
-  fleet::FleetSpec other = gen.spec;
-  other.legacy_epoch_path = true;
-  Obs o;
-  fleet::FleetSession s(other, o.hooks());
-  try {
-    s.restore(blob);
-    FAIL() << "cross-path restore must be rejected";
-  } catch (const DesignError& e) {
-    EXPECT_NE(std::string(e.what()).find("legacy_epoch_path"), std::string::npos)
-        << e.what();
   }
 }
 

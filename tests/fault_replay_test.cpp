@@ -129,9 +129,11 @@ TEST(FaultReplay, FleetAppliesOnePlanToEveryNode) {
   const auto with_fault = core::FleetAnalysis::run(fc);
   fc.faults = fault::FaultPlan{};
   const auto nominal = core::FleetAnalysis::run(fc);
-  // The faded channel loses frames before they reach the merge timeline.
-  EXPECT_LT(with_fault.frames_total, nominal.frames_total);
-  EXPECT_GT(with_fault.frames_total, 0u);
+  // Every node still transmits (jammed frames occupy the air at the
+  // station), but the faded channel keeps them from being delivered.
+  EXPECT_EQ(with_fault.frames_total, nominal.frames_total);
+  EXPECT_LT(with_fault.frames_delivered, nominal.frames_delivered);
+  EXPECT_GT(with_fault.frames_delivered, 0u);
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST(HarvestIntegralTest, ChargeMatchesWindowSums) {
 
 TEST(WakeHeapTest, DrainsInKeyThenIndexOrder) {
   // The wake calendar must order ties by node index — that is what makes
-  // the active path's frame stream match the legacy node-major scan.
+  // the (start, id) frame order hold by construction.
   std::vector<double> key = {3.0, 1.0, 2.0, 1.0, 2.0, 1.0};
   WakeHeap h;
   h.build(key);
@@ -130,7 +130,6 @@ core::FleetConfig comparison_config(int nodes, double sim_s) {
   core::FleetConfig cfg;
   cfg.nodes = nodes;
   cfg.sim_time = Duration{sim_s};
-  cfg.medium = core::FleetConfig::Medium::kShared;
   return cfg;
 }
 
@@ -233,40 +232,31 @@ TEST(ShardedEngineTest, ShardCountsThatDoNotDivideDomainsStayIdentical) {
   for (std::size_t i = 1; i < prints.size(); ++i) EXPECT_EQ(prints[i], prints[0]);
 }
 
-// --- Active-set calendar vs legacy scan -------------------------------------
-// The EpochPath::kLegacy engine (node-major timer scans, serial exchange
-// splice, per-epoch sort) is kept as the cross-validation reference: both
-// paths must produce bit-identical counters, energies, and flight streams
-// for the same spec — only cost may differ.
+// --- Pinned fingerprints ------------------------------------------------------
+// Exact pins for specs that stress the wake calendar, the run merge and
+// the node-major flight replay: dense and tie-heavy fleets, sparse
+// activity, sampled flight streams under faults. A separate node-major
+// scan engine reproduced every value bit for bit before it was removed. A
+// change here is a change in physics or in the flight-ring order contract
+// (fleet/domain.hpp): re-pin with the cause stated.
 
-FleetMetrics run_path(FleetSpec s, bool legacy) {
-  s.legacy_epoch_path = legacy;
-  return ShardedFleetEngine::run(s);
-}
-
-TEST(EpochPathTest, LegacyAndActiveAgreeOnDenseFleet) {
+TEST(FleetPinTest, DenseFleetFingerprint) {
   FleetSpec spec;
   spec.nodes = 2000;
   spec.domains = 16;
   spec.sim_time_s = 120.0;
   spec.epoch_s = 17.0;
   spec.randomize_phase = true;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
-  EXPECT_EQ(a.wake_cycles, l.wake_cycles);
-  EXPECT_EQ(a.frames_on_air, l.frames_on_air);
-  EXPECT_EQ(a.collided, l.collided);
-  EXPECT_EQ(a.delivered, l.delivered);
-  EXPECT_EQ(a.edge_exports, l.edge_exports);
-  EXPECT_EQ(a.energy_out_j, l.energy_out_j);  // bit-equal, not just close
+  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  EXPECT_EQ(m.fingerprint(), 364058339886879511u);
+  EXPECT_EQ(m.wake_cycles, 38009u);
+  EXPECT_EQ(m.collided, 1196u);
 }
 
-TEST(EpochPathTest, LegacyAndActiveAgreeUnderTieHeavyWakes) {
+TEST(FleetPinTest, TieHeavyWakesFingerprint) {
   // interval_tolerance = 0 with synchronized boot: every node in a domain
   // wakes at the same instant, so frame starts tie en masse and ordering
-  // falls entirely to the id tie-break — the hardest case for the merge
-  // path to match the legacy sort byte-for-byte.
+  // falls entirely to the id tie-break of the calendar and the run merge.
   FleetSpec spec;
   spec.nodes = 600;
   spec.domains = 8;
@@ -274,17 +264,15 @@ TEST(EpochPathTest, LegacyAndActiveAgreeUnderTieHeavyWakes) {
   spec.randomize_phase = false;
   spec.sim_time_s = 90.0;
   spec.epoch_s = 7.0;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_GT(a.collided, 0u);  // ties actually collide
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
+  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  EXPECT_GT(m.collided, 0u);  // ties actually collide
+  EXPECT_EQ(m.fingerprint(), 15491086099832896765u);
 }
 
-TEST(EpochPathTest, SparseFleetSkipsIdleDomainsWithIdenticalResults) {
+TEST(FleetPinTest, SparseFleetSkipsIdleDomains) {
   // Sparse activity — long intervals, fine epochs — is where the wake
   // calendar pays: most domain-epochs must be skipped outright, and the
-  // results must not move. The legacy path by construction scans and
-  // resolves every domain every epoch.
+  // results must not move.
   FleetSpec spec;
   spec.nodes = 800;
   spec.domains = 16;
@@ -292,23 +280,19 @@ TEST(EpochPathTest, SparseFleetSkipsIdleDomainsWithIdenticalResults) {
   spec.randomize_phase = true;
   spec.sim_time_s = 120.0;
   spec.epoch_s = 0.5;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
-  EXPECT_GT(a.wake_cycles, 0u);
-  EXPECT_EQ(l.phase.domains_advanced, l.phase.domain_epochs);
-  EXPECT_EQ(l.phase.domains_resolved, l.phase.domain_epochs);
-  EXPECT_LT(a.phase.domains_advanced, a.phase.domain_epochs / 4);
-  EXPECT_LT(a.phase.domains_resolved, a.phase.domain_epochs / 4);
-  EXPECT_EQ(a.phase.epochs, l.phase.epochs);
+  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  EXPECT_EQ(m.fingerprint(), 13458248626385466138u);
+  EXPECT_GT(m.wake_cycles, 0u);
+  EXPECT_EQ(m.phase.epochs, 240u);
+  EXPECT_LT(m.phase.domains_advanced, m.phase.domain_epochs / 4);
+  EXPECT_LT(m.phase.domains_resolved, m.phase.domain_epochs / 4);
 }
 
-TEST(EpochPathTest, LegacyAndActiveAgreeOnFlightStreamUnderFaults) {
+TEST(FleetPinTest, FlightStreamUnderFaults) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // Frame-tx sampling, collision events, fault windows, barrier events:
   // the flight stream fingerprints the event *order* per ring, so this
-  // checks the active path's deferred tx/collision emission reproduces
-  // the legacy path's generation-order stream exactly.
+  // pins the deferred node-major tx/collision emission.
   FleetSpec spec;
   spec.nodes = 1000;
   spec.domains = 16;
@@ -316,32 +300,25 @@ TEST(EpochPathTest, LegacyAndActiveAgreeOnFlightStreamUnderFaults) {
   spec.epoch_s = 17.0;
   spec.randomize_phase = true;
   spec.faults.channel_loss(10.0, 100.0, 0.7);
-  std::uint64_t prints[2];
-  std::uint64_t counts[2];
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    FleetSpec s = spec;
-    s.legacy_epoch_path = legacy != 0;
-    obs::FlightRecorder flight;
-    FleetObsHooks hooks;
-    hooks.flight = &flight;
-    hooks.flight_tx_sample_shift = 2;  // exercise the sampled-tx keying
-    const FleetMetrics m = ShardedFleetEngine::run(s, hooks);
-    EXPECT_GT(m.frames_lost, 0u);
-    EXPECT_GT(m.collided, 0u);
-    prints[legacy] = flight.fingerprint();
-    counts[legacy] = flight.total_recorded();
-  }
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(counts[0], counts[1]);
+  obs::FlightRecorder flight;
+  FleetObsHooks hooks;
+  hooks.flight = &flight;
+  hooks.flight_tx_sample_shift = 2;  // exercise the sampled-tx keying
+  const FleetMetrics m = ShardedFleetEngine::run(spec, hooks);
+  EXPECT_GT(m.frames_lost, 0u);
+  EXPECT_GT(m.collided, 0u);
+  EXPECT_EQ(m.fingerprint(), 6742620294507226079u);
+  EXPECT_EQ(flight.fingerprint(), 13231165981904050140u);
+  EXPECT_EQ(flight.total_recorded(), 4870u);
 }
 
-TEST(EpochPathTest, MillionNodeSmoke) {
+TEST(FleetPinTest, MillionNodeSmoke) {
   if (std::getenv("PICO_PERF_TESTS") == nullptr) {
     GTEST_SKIP() << "set PICO_PERF_TESTS=1 to run the 1M-node smoke";
   }
   // A shortened E19: one million nodes across 10k domains at telemetry
-  // epoch cadence. Guards the active path's skip logic at real scale and
-  // cross-checks it against the legacy engine.
+  // epoch cadence. Guards the skip logic at real scale and pins the
+  // outcome.
   FleetSpec spec;
   spec.nodes = 1000000;
   spec.domains = 10000;
@@ -351,12 +328,11 @@ TEST(EpochPathTest, MillionNodeSmoke) {
   // past the window's start that ~10% of the fleet beacons once.
   spec.sim_time_s = 660.0;
   spec.epoch_s = 1.0;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
-  EXPECT_EQ(a.nodes, 1000000u);
-  EXPECT_GT(a.wake_cycles, 0u);
-  EXPECT_LT(a.phase.domains_advanced, a.phase.domain_epochs / 10);
+  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  EXPECT_EQ(m.fingerprint(), 2779493963197763466u);
+  EXPECT_EQ(m.nodes, 1000000u);
+  EXPECT_GT(m.wake_cycles, 0u);
+  EXPECT_LT(m.phase.domains_advanced, m.phase.domain_epochs / 10);
 }
 
 // --- ShardPlan --------------------------------------------------------------
@@ -573,38 +549,25 @@ TEST(FleetArqTest, BitIdenticalAcrossShardAndThreadCounts) {
   EXPECT_GT(first.delivered, 0u);
 }
 
-TEST(FleetArqTest, LegacyAndActiveAgreeUnderJam) {
-  const FleetSpec spec = arq_jam_spec();
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
-  EXPECT_EQ(a.arq_retries, l.arq_retries);
-  EXPECT_EQ(a.arq_gaveup, l.arq_gaveup);
-  EXPECT_EQ(a.energy_out_j, l.energy_out_j);  // bit-equal, not just close
+TEST(FleetArqTest, JamFingerprintPinned) {
+  const FleetMetrics m = ShardedFleetEngine::run(arq_jam_spec());
+  EXPECT_EQ(m.fingerprint(), 14478926853204225712u);
+  EXPECT_EQ(m.arq_retries, 7586u);
+  EXPECT_EQ(m.arq_gaveup, 1694u);
 }
 
-TEST(FleetArqTest, LegacyAndActiveAgreeOnFlightStreamUnderJam) {
+TEST(FleetArqTest, FlightStreamUnderJamPinned) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // ARQ interleaves chains across the calendar's pop order; the deferred
-  // node-major flight replay must still match the legacy inline emission
-  // byte for byte.
-  const FleetSpec spec = arq_jam_spec();
-  std::uint64_t prints[2];
-  std::uint64_t counts[2];
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    FleetSpec s = spec;
-    s.legacy_epoch_path = legacy != 0;
-    obs::FlightRecorder flight;
-    FleetObsHooks hooks;
-    hooks.flight = &flight;
-    hooks.flight_tx_sample_shift = 1;
-    const FleetMetrics m = ShardedFleetEngine::run(s, hooks);
-    EXPECT_GT(m.arq_retries, 0u);
-    prints[legacy] = flight.fingerprint();
-    counts[legacy] = flight.total_recorded();
-  }
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(counts[0], counts[1]);
+  // node-major flight replay must still emit the pinned ring bytes.
+  obs::FlightRecorder flight;
+  FleetObsHooks hooks;
+  hooks.flight = &flight;
+  hooks.flight_tx_sample_shift = 1;
+  const FleetMetrics m = ShardedFleetEngine::run(arq_jam_spec(), hooks);
+  EXPECT_GT(m.arq_retries, 0u);
+  EXPECT_EQ(flight.fingerprint(), 1330128092030060550u);
+  EXPECT_EQ(flight.total_recorded(), 9779u);
 }
 
 TEST(FleetArqTest, CleanChannelCollapsesToBeaconCounts) {
@@ -664,7 +627,7 @@ TEST(FleetRetirementTest, TightBudgetRetiresNodesMidRun) {
                    static_cast<double>(r.nodes) * spec.sim_time_s);
 }
 
-TEST(FleetRetirementTest, BitIdenticalAcrossShardThreadAndEpochPath) {
+TEST(FleetRetirementTest, BitIdenticalAcrossShardAndThreadCounts) {
   const FleetSpec spec = tight_budget_spec();
   std::vector<std::uint64_t> prints;
   for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
@@ -672,49 +635,41 @@ TEST(FleetRetirementTest, BitIdenticalAcrossShardThreadAndEpochPath) {
       FleetSpec s = spec;
       s.shards = shards;
       s.threads = threads;
-      prints.push_back(ShardedFleetEngine::run(s).fingerprint());
+      const FleetMetrics m = ShardedFleetEngine::run(s);
+      EXPECT_GT(m.nodes_dead, 0u);
+      prints.push_back(m.fingerprint());
     }
   }
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_GT(l.nodes_dead, 0u);
-  prints.push_back(l.fingerprint());
   for (std::size_t i = 1; i < prints.size(); ++i) EXPECT_EQ(prints[i], prints[0]);
+  EXPECT_EQ(prints[0], 16791251280030688424u);
 }
 
-TEST(FleetRetirementTest, BrownoutFlightEventsMatchAcrossEpochPaths) {
+TEST(FleetRetirementTest, BrownoutFlightEventsPinned) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const FleetSpec spec = tight_budget_spec();
-  std::uint64_t prints[2];
-  std::uint64_t brownouts[2];
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    FleetSpec s = spec;
-    s.legacy_epoch_path = legacy != 0;
-    obs::FlightRecorder flight;
-    FleetObsHooks hooks;
-    hooks.flight = &flight;
-    const FleetMetrics m = ShardedFleetEngine::run(s, hooks);
-    EXPECT_EQ(m.nodes_dead, m.nodes);
-    prints[legacy] = flight.fingerprint();
-    std::uint64_t n = 0;
-    double last_t = 0.0;
-    std::vector<obs::FlightEvent> events;
-    for (std::size_t ring = 0; ring < flight.rings(); ++ring) {
-      flight.ring(ring).append_to(events);
-    }
-    for (const obs::FlightEvent& ev : events) {
-      if (ev.kind != obs::FlightEventKind::kBrownout) continue;
-      ++n;
-      EXPECT_GT(ev.t_s, 0.0);
-      EXPECT_LT(ev.t_s, spec.sim_time_s);  // mid-run, not post-hoc
-      EXPECT_GT(ev.v, 0.0);                // a real deficit
-      last_t = std::max(last_t, ev.t_s);
-    }
-    brownouts[legacy] = n;
-    EXPECT_EQ(n, m.nodes_dead);
-    EXPECT_GT(last_t, 0.0);
+  obs::FlightRecorder flight;
+  FleetObsHooks hooks;
+  hooks.flight = &flight;
+  const FleetMetrics m = ShardedFleetEngine::run(spec, hooks);
+  EXPECT_EQ(m.nodes_dead, m.nodes);
+  EXPECT_EQ(flight.fingerprint(), 7124734220891175800u);
+  EXPECT_EQ(flight.total_recorded(), 364u);
+  std::uint64_t n = 0;
+  double last_t = 0.0;
+  std::vector<obs::FlightEvent> events;
+  for (std::size_t ring = 0; ring < flight.rings(); ++ring) {
+    flight.ring(ring).append_to(events);
   }
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(brownouts[0], brownouts[1]);
+  for (const obs::FlightEvent& ev : events) {
+    if (ev.kind != obs::FlightEventKind::kBrownout) continue;
+    ++n;
+    EXPECT_GT(ev.t_s, 0.0);
+    EXPECT_LT(ev.t_s, spec.sim_time_s);  // mid-run, not post-hoc
+    EXPECT_GT(ev.v, 0.0);                // a real deficit
+    last_t = std::max(last_t, ev.t_s);
+  }
+  EXPECT_EQ(n, m.nodes_dead);
+  EXPECT_GT(last_t, 0.0);
 }
 
 TEST(FleetRetirementTest, KernelRetirementMatchesScalarBrownoutWithinOneWake) {
