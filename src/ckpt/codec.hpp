@@ -12,7 +12,7 @@
 //
 // Everything is little-endian with fixed widths; doubles travel as their
 // IEEE-754 bit patterns, so save → restore → re-save is byte-identical
-// (the round-trip contract the codec tests pin for every fault scenario).
+// (FleetCheckpointTest.RestoredSessionResavesByteIdentical pins it).
 #pragma once
 
 #include <cstdint>
@@ -98,6 +98,10 @@ class Reader {
   [[nodiscard]] double f64();
   [[nodiscard]] bool b() { return u8() != 0; }
   [[nodiscard]] std::string str();
+  // A u64 element count, checked against the bytes remaining: a count
+  // whose elements (each at least `min_elem_bytes` on the wire) cannot
+  // fit raises CheckpointError, so callers may reserve() for it.
+  [[nodiscard]] std::uint64_t count(std::size_t min_elem_bytes);
 
   [[nodiscard]] std::vector<std::uint8_t> u8v();
   [[nodiscard]] std::vector<std::uint32_t> u32v();
@@ -114,9 +118,6 @@ class Reader {
 
  private:
   void need(std::size_t n) const;
-  // Guard a declared element count against the bytes actually remaining,
-  // so a corrupt count cannot trigger a huge allocation.
-  void need_count(std::uint64_t count, std::size_t elem_size) const;
 
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;

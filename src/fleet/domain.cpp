@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/codec.hpp"
+#include "ckpt/state.hpp"
 #include "common/error.hpp"
 #include "obs/flight.hpp"
 
@@ -506,6 +506,11 @@ void Domain::rebuild_carry(double epoch_end_s, const KernelModel& m,
 
 namespace {
 
+// Wire sizes of the framed records, for Reader::count: an edge frame or
+// carried air record (start, end, p_rx, node), and a pending frame.
+constexpr std::size_t kAirRunBytes = 3 * 8 + 4;
+constexpr std::size_t kPendingFrameBytes = 4 * 8 + 8 + 4 + 4 + 1;
+
 void save_edge_frames(ckpt::Writer& w, const std::vector<Domain::EdgeFrame>& v) {
   w.u64(v.size());
   for (const Domain::EdgeFrame& e : v) {
@@ -517,7 +522,7 @@ void save_edge_frames(ckpt::Writer& w, const std::vector<Domain::EdgeFrame>& v) 
 }
 
 void restore_edge_frames(ckpt::Reader& r, std::vector<Domain::EdgeFrame>& v) {
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(kAirRunBytes);
   v.clear();
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -530,20 +535,10 @@ void restore_edge_frames(ckpt::Reader& r, std::vector<Domain::EdgeFrame>& v) {
   }
 }
 
-void save_rng(ckpt::Writer& w, const Rng& rng) {
-  const Rng::State st = rng.state();
-  for (std::uint64_t s : st.s) w.u64(s);
-  w.f64(st.cached_normal);
-  w.b(st.has_cached_normal);
-}
-
-void restore_rng(ckpt::Reader& r, Rng& rng) {
-  Rng::State st;
-  for (auto& s : st.s) s = r.u64();
-  st.cached_normal = r.f64();
-  st.has_cached_normal = r.b();
-  rng.set_state(st);
-}
+void put(ckpt::Writer& w, std::uint64_t v) { w.u64(v); }
+void put(ckpt::Writer& w, double v) { w.f64(v); }
+void get(ckpt::Reader& r, std::uint64_t& v) { v = r.u64(); }
+void get(ckpt::Reader& r, double& v) { v = r.f64(); }
 
 }  // namespace
 
@@ -551,7 +546,7 @@ void Domain::save(ckpt::Writer& w) const {
   PICO_ASSERT(inbox_.empty());
   w.u64(nodes());
   w.f64v(next_wake_s_);
-  for (const Rng& rng : rng_) save_rng(w, rng);
+  for (const Rng& rng : rng_) ckpt::write_rng(w, rng.state());
   w.u32v(seq_);
   w.u8v(alive_);
   w.u64v(cycles_);
@@ -579,25 +574,7 @@ void Domain::save(ckpt::Writer& w) const {
   save_edge_frames(w, outbox_right_);
   w.b(heap_.built());
   w.u32v(heap_.slots());
-  w.u64(c_.wake_cycles);
-  w.u64(c_.frames_on_air);
-  w.u64(c_.frames_completed);
-  w.u64(c_.frames_lost);
-  w.u64(c_.collided);
-  w.u64(c_.captured);
-  w.u64(c_.below_squelch);
-  w.u64(c_.crc_rejected);
-  w.u64(c_.delivered);
-  w.u64(c_.delivered_payload_bits);
-  w.u64(c_.edge_exports);
-  w.u64(c_.nodes_dead);
-  w.u64(c_.arq_retries);
-  w.u64(c_.arq_gaveup);
-  w.f64(c_.airtime_s);
-  w.f64(c_.energy_out_j);
-  w.f64(c_.energy_in_j);
-  w.f64(c_.cycle_energy_j);
-  w.f64(c_.node_seconds_alive);
+  for_each_counter([&w](auto v) { put(w, v); }, c_);
 }
 
 void Domain::restore(ckpt::Reader& r) {
@@ -606,7 +583,7 @@ void Domain::restore(ckpt::Reader& r) {
                "fleet checkpoint domain population does not match the spec layout");
   next_wake_s_ = r.f64v();
   PICO_REQUIRE(next_wake_s_.size() == n, "fleet checkpoint wake array mismatch");
-  for (Rng& rng : rng_) restore_rng(r, rng);
+  for (Rng& rng : rng_) rng.set_state(ckpt::read_rng(r));
   seq_ = r.u32v();
   alive_ = r.u8v();
   cycles_ = r.u64v();
@@ -615,7 +592,7 @@ void Domain::restore(ckpt::Reader& r) {
   PICO_REQUIRE(seq_.size() == n && alive_.size() == n && cycles_.size() == n &&
                    cycle_energy_j_.size() == n && death_t_s_.size() == n,
                "fleet checkpoint node-state array mismatch");
-  const std::uint64_t np = r.u64();
+  const std::uint64_t np = r.count(kPendingFrameBytes);
   pending_.clear();
   pending_.reserve(np);
   for (std::uint64_t i = 0; i < np; ++i) {
@@ -630,7 +607,7 @@ void Domain::restore(ckpt::Reader& r) {
     f.lost = r.b();
     pending_.push_back(f);
   }
-  const std::uint64_t na = r.u64();
+  const std::uint64_t na = r.count(kAirRunBytes);
   carry_.clear();
   carry_.reserve(na);
   for (std::uint64_t i = 0; i < na; ++i) {
@@ -647,25 +624,7 @@ void Domain::restore(ckpt::Reader& r) {
   std::vector<std::uint32_t> slots = r.u32v();
   PICO_REQUIRE(!built || slots.size() <= n, "fleet checkpoint calendar mismatch");
   heap_.restore_slots(std::move(slots), built);
-  c_.wake_cycles = r.u64();
-  c_.frames_on_air = r.u64();
-  c_.frames_completed = r.u64();
-  c_.frames_lost = r.u64();
-  c_.collided = r.u64();
-  c_.captured = r.u64();
-  c_.below_squelch = r.u64();
-  c_.crc_rejected = r.u64();
-  c_.delivered = r.u64();
-  c_.delivered_payload_bits = r.u64();
-  c_.edge_exports = r.u64();
-  c_.nodes_dead = r.u64();
-  c_.arq_retries = r.u64();
-  c_.arq_gaveup = r.u64();
-  c_.airtime_s = r.f64();
-  c_.energy_out_j = r.f64();
-  c_.energy_in_j = r.f64();
-  c_.cycle_energy_j = r.f64();
-  c_.node_seconds_alive = r.f64();
+  for_each_counter([&r](auto& v) { get(r, v); }, c_);
   inbox_.clear();
 }
 

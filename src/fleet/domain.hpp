@@ -147,7 +147,42 @@ struct DomainCounters {
   // Integral of the alive-node population over sim time: a retired node
   // contributes its depletion time, a survivor the full horizon.
   double node_seconds_alive = 0.0;
+
+  // Sum in field order (the engine's domain-order reduction).
+  DomainCounters& operator+=(const DomainCounters& o);
 };
+
+// The one field list: calls `f(cs.field...)` for every counter, in the
+// FDOM wire order. Checkpoint save/restore and operator+= all walk it, so
+// a counter added here travels and reduces with no other edit (adding one
+// changes the FDOM layout: bump its section version).
+template <class F, class... Cs>
+void for_each_counter(F&& f, Cs&... cs) {
+  f(cs.wake_cycles...);
+  f(cs.frames_on_air...);
+  f(cs.frames_completed...);
+  f(cs.frames_lost...);
+  f(cs.collided...);
+  f(cs.captured...);
+  f(cs.below_squelch...);
+  f(cs.crc_rejected...);
+  f(cs.delivered...);
+  f(cs.delivered_payload_bits...);
+  f(cs.edge_exports...);
+  f(cs.nodes_dead...);
+  f(cs.arq_retries...);
+  f(cs.arq_gaveup...);
+  f(cs.airtime_s...);
+  f(cs.energy_out_j...);
+  f(cs.energy_in_j...);
+  f(cs.cycle_energy_j...);
+  f(cs.node_seconds_alive...);
+}
+
+inline DomainCounters& DomainCounters::operator+=(const DomainCounters& o) {
+  for_each_counter([](auto& sum, auto v) { sum += v; }, *this, o);
+  return *this;
+}
 
 class Domain {
  public:

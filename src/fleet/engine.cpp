@@ -606,27 +606,7 @@ FleetMetrics FleetSession::Impl::finish_run() {
   out.nodes = spec.nodes;
   out.domains = n_domains;
   out.shards = n_shards;
-  for (const Domain& d : domains) {
-    const DomainCounters& c = d.counters();
-    out.wake_cycles += c.wake_cycles;
-    out.frames_on_air += c.frames_on_air;
-    out.frames_completed += c.frames_completed;
-    out.frames_lost += c.frames_lost;
-    out.collided += c.collided;
-    out.captured += c.captured;
-    out.below_squelch += c.below_squelch;
-    out.crc_rejected += c.crc_rejected;
-    out.delivered += c.delivered;
-    out.delivered_payload_bits += c.delivered_payload_bits;
-    out.edge_exports += c.edge_exports;
-    out.nodes_dead += c.nodes_dead;
-    out.arq_retries += c.arq_retries;
-    out.arq_gaveup += c.arq_gaveup;
-    out.airtime_s += c.airtime_s;
-    out.energy_out_j += c.energy_out_j;
-    out.energy_in_j += c.energy_in_j;
-    out.node_seconds_alive += c.node_seconds_alive;
-  }
+  for (const Domain& d : domains) out += d.counters();
   if (out.frames_on_air > 0) {
     out.collision_rate = static_cast<double>(out.collided) /
                          static_cast<double>(out.frames_on_air);

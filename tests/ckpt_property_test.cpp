@@ -319,3 +319,27 @@ TEST(FleetCheckpointTest, RestoredSessionResavesByteIdentical) {
   s.restore(blob);
   EXPECT_EQ(s.save(), blob);
 }
+
+// The FDOM/FSPC/FENG/SERS/FLIT bytes of one fixed save, pinned: size and
+// the blob's own trailing FNV-1a digest. The literals were recorded
+// before the domain codec was rewritten around one field list, so they
+// prove that rewrite byte-identical; any later change to the wire layout
+// must bump a section version and re-pin here.
+TEST(FleetCheckpointTest, BlobBytesPinned) {
+  const fleet::FleetSpec spec = retirement_spec();
+  Obs o;
+  fleet::FleetSession s(spec, o.hooks());
+  s.run_until(24.0);  // inside the jam, after the first retirements
+  std::size_t brownouts = 0;
+  for (const auto& m : o.flight.merged()) {
+    if (m.ev.kind == obs::FlightEventKind::kBrownout) ++brownouts;
+  }
+  ASSERT_GT(brownouts, 0u) << "the save must carry nodes that died mid-run";
+  const std::vector<std::uint8_t> blob = s.save();
+  std::uint64_t digest = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    digest |= static_cast<std::uint64_t>(blob[blob.size() - 8 + i]) << (8 * i);
+  }
+  EXPECT_EQ(blob.size(), 30389u);
+  EXPECT_EQ(digest, 0x1376d015afc7ee26ULL);
+}

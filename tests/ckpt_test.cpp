@@ -1,14 +1,17 @@
 // ckpt_test.cpp — checkpoint codec and subsystem restore contracts.
 //
-// Three layers, bottom-up:
+// Layers, bottom-up:
 //   * container: primitives/sections/digest round-trip; corrupt, truncated,
 //     bit-flipped and wrong-version blobs are rejected with CheckpointError,
 //     never UB (this suite runs in the asan lane — see CMakePresets.json).
-//   * scenario library: a NodeCheckpoint built from every named fault
-//     scenario re-serializes byte-identically (save → restore → re-save),
-//     the round-trip contract golden checkpoints rely on.
+//   * inflated element counts: every hand-written decoder loop that
+//     reserves for a declared count (series names, flight rings and
+//     events, a fleet domain's pending/carry/outbox frames) rejects a
+//     count the remaining payload cannot hold before allocating.
+//   * fault-plan specs: every named scenario's plan survives the spec-text
+//     round trip the fleet checkpoint's FSPC section relies on.
 //   * subsystem restore semantics: the series recorder resumed at a
-//     non-zero decimation level (the regression the tentpole fixed), the
+//     non-zero decimation level (a fixed regression), the
 //     flight ring's overwrite-oldest behavior across a restore, and the
 //     RNG's cached Box–Muller deviate.
 #include <cmath>
@@ -23,47 +26,12 @@
 #include "ckpt/state.hpp"
 #include "common/rng.hpp"
 #include "fault/scenarios.hpp"
+#include "fleet/domain.hpp"
 #include "obs/flight.hpp"
 #include "obs/series.hpp"
 #include "scenario/generator.hpp"
 
 using namespace pico;
-
-namespace {
-
-// A deterministic, scenario-flavored NodeCheckpoint: the plan is the
-// scenario's own; the numeric state is drawn from a seeded stream so every
-// scenario exercises different bit patterns.
-ckpt::NodeCheckpoint synth_node_checkpoint(const fault::Scenario& sc,
-                                           std::uint64_t index) {
-  Rng rng = Rng::stream(0xC0DEC, index);
-  ckpt::NodeCheckpoint node;
-  node.fault_plan_spec = sc.config.faults.to_spec();
-  node.sim.now_s = rng.uniform(0.0, sc.sim_time.value());
-  node.sim.next_seq = rng.next();
-  node.sim.dispatched = rng.below(1u << 20);
-  node.sim.queue_peak = rng.below(64);
-  for (int d = 0; d < 3; ++d) {
-    node.power.device_names.push_back("dev" + std::to_string(d));
-    node.power.device_rails.push_back(static_cast<std::uint32_t>(d % 2));
-    node.power.device_currents_a.push_back(rng.uniform(0.0, 1e-3));
-    node.power.device_energies_j.push_back(rng.uniform(0.0, 10.0));
-  }
-  node.power.load_mcu_a = rng.uniform(0.0, 1e-3);
-  node.power.load_radio_rf_a = rng.uniform(0.0, 1e-2);
-  node.power.last_time_s = node.sim.now_s;
-  node.power.energy_out_j = rng.uniform(0.0, 5.0);
-  node.power.energy_in_j = rng.uniform(0.0, 5.0);
-  node.power.intervals = rng.below(100000);
-  node.power.brownouts = rng.below(3);
-  node.faults.counters.events_armed = sc.config.faults.size();
-  node.faults.counters.events_fired = rng.below(sc.config.faults.size() + 1);
-  node.faults.active_harvest.push_back(rng.uniform(0.0, 1.0));
-  node.faults.active_loss.push_back(rng.uniform(0.0, 1.0));
-  return node;
-}
-
-}  // namespace
 
 // --- Container ---------------------------------------------------------------
 
@@ -201,24 +169,120 @@ TEST(CheckpointCodecTest, CorruptCountCannotForceHugeAllocation) {
   EXPECT_THROW((void)r.f64v(), ckpt::CheckpointError);
 }
 
-// --- Scenario library round trips -------------------------------------------
+// --- Inflated element counts ------------------------------------------------
+//
+// A count that claims more elements than the remaining payload could hold
+// is rejected before the decoder reserves for it. Each blob below is
+// well-formed (its digest is valid) apart from one count set to 2^40.
 
-TEST(CheckpointCodecTest, ScenarioLibraryReSerializesByteIdentical) {
+namespace {
+
+constexpr std::uint64_t kInflated = std::uint64_t{1} << 40;
+
+// Domain::restore's payload for a one-node domain, up to the pending-frame
+// count, followed by `zero_counts` empty lists and then one inflated count:
+// 0 inflates pending frames, 1 the carry, 2 the left outbox, 3 the right.
+std::vector<std::uint8_t> domain_blob_inflating(int zero_counts) {
+  ckpt::Writer w;
+  w.u64(1);
+  w.f64v({1.0});
+  ckpt::write_rng(w, Rng(1).state());
+  w.u32v({0});
+  w.u8v({1});
+  w.u64v({0});
+  w.f64v({0.0});
+  w.f64v({0.0});
+  for (int i = 0; i < zero_counts; ++i) w.u64(0);
+  w.u64(kInflated);
+  return w.finish();
+}
+
+void expect_domain_restore_rejects(int zero_counts) {
+  fleet::Domain d;
+  d.add_node(0, 10.0, 1.0, Rng(1), 10.0, -1.0, -1.0);
+  ckpt::Reader r(domain_blob_inflating(zero_counts));
+  EXPECT_THROW(d.restore(r), ckpt::CheckpointError);
+}
+
+// A FLIT section with no storm history, up to its ring count.
+void write_flight_head(ckpt::Writer& w) {
+  w.begin_section(ckpt::tag("FLIT"), 1);
+  w.u64(4);       // ring capacity
+  w.b(false);     // dumped
+  w.str("");      // dump reason
+  w.u64(0);       // storm count
+  w.f64(0.0);     // storm window
+  w.f64v({});     // storm times
+  w.u64(0);       // storm head
+  w.u64(0);       // storm seen
+}
+
+}  // namespace
+
+TEST(CheckpointCodecTest, InflatedSeriesNameCountIsRejected) {
+  ckpt::Writer w;
+  w.begin_section(ckpt::tag("SERS"), 1);
+  w.f64(1.0);
+  w.f64(1.0);
+  w.f64(0.0);
+  w.u64(8);
+  w.u64(0);
+  w.f64v({});
+  w.u64(kInflated);
+  w.end_section();
+  ckpt::Reader r(w.finish());
+  EXPECT_THROW((void)ckpt::read_series(r), ckpt::CheckpointError);
+}
+
+TEST(CheckpointCodecTest, InflatedFlightRingCountIsRejected) {
+  ckpt::Writer w;
+  write_flight_head(w);
+  w.u64(kInflated);
+  w.end_section();
+  ckpt::Reader r(w.finish());
+  EXPECT_THROW((void)ckpt::read_flight(r), ckpt::CheckpointError);
+}
+
+TEST(CheckpointCodecTest, InflatedFlightEventCountIsRejected) {
+  ckpt::Writer w;
+  write_flight_head(w);
+  w.u64(1);  // one ring
+  w.u64(0);  // recorded
+  w.u64(kInflated);
+  w.end_section();
+  ckpt::Reader r(w.finish());
+  EXPECT_THROW((void)ckpt::read_flight(r), ckpt::CheckpointError);
+}
+
+TEST(CheckpointCodecTest, InflatedDomainPendingCountIsRejected) {
+  expect_domain_restore_rejects(0);
+}
+
+TEST(CheckpointCodecTest, InflatedDomainCarryCountIsRejected) {
+  expect_domain_restore_rejects(1);
+}
+
+TEST(CheckpointCodecTest, InflatedDomainLeftOutboxCountIsRejected) {
+  expect_domain_restore_rejects(2);
+}
+
+TEST(CheckpointCodecTest, InflatedDomainRightOutboxCountIsRejected) {
+  expect_domain_restore_rejects(3);
+}
+
+// --- Fault-plan spec round trips ---------------------------------------------
+
+// The fleet's FSPC section carries the fault plan as its spec text: every
+// named scenario's plan must survive Writer::str → Reader::str → parse.
+TEST(CheckpointCodecTest, ScenarioLibraryPlansRoundTrip) {
   const auto library = fault::scenario_library();
   ASSERT_FALSE(library.empty());
-  std::uint64_t index = 0;
   for (const fault::Scenario& sc : library) {
-    const ckpt::NodeCheckpoint node = synth_node_checkpoint(sc, index++);
-    const std::vector<std::uint8_t> blob = ckpt::encode_node(node);
-    const ckpt::NodeCheckpoint back = ckpt::decode_node(blob);
-    const std::vector<std::uint8_t> again = ckpt::encode_node(back);
-    EXPECT_EQ(blob, again) << "scenario " << sc.name;
-    // The plan spec round-trips to an equal plan (bit-identical replay).
-    EXPECT_EQ(fault::FaultPlan::parse(back.fault_plan_spec), sc.config.faults)
+    ckpt::Writer w;
+    w.str(sc.config.faults.to_spec());
+    ckpt::Reader r(w.finish());
+    EXPECT_EQ(fault::FaultPlan::parse(r.str()), sc.config.faults)
         << "scenario " << sc.name;
-    EXPECT_EQ(back.sim.now_s, node.sim.now_s) << "scenario " << sc.name;
-    EXPECT_EQ(back.power.device_names, node.power.device_names);
-    EXPECT_EQ(back.faults.counters.events_armed, node.faults.counters.events_armed);
   }
 }
 

@@ -34,7 +34,9 @@ Usage:
 file (one object per sample row) for schema sanity — numeric strictly
 increasing ``t_s``, one consistent key set across rows, every value numeric
 or null — and ignores the baseline arguments.
-Exit code: 0 on success, 1 on divergence or missing values, 2 on usage error.
+Exit code: 0 on success, 1 on divergence, missing values or a non-zero bench
+exit (a bench exits with its count of failed checks; nothing is diffed or
+recorded from such a run), 2 on usage error.
 """
 
 import argparse
@@ -68,15 +70,20 @@ def extract_values(doc):
 
 
 def run_bench(binary):
-    """Run the bench with --json=<tmp> and parse the report it writes."""
+    """Run the bench with --json=<tmp> and parse the report it writes.
+
+    Returns None when the bench exits non-zero: a bench's exit code is its
+    count of failed invariant and paper checks, so a failing run is a
+    failed check whatever its numbers say.
+    """
     fd, path = tempfile.mkstemp(suffix=".json", prefix="bench_")
     os.close(fd)
     try:
         proc = subprocess.run([binary, f"--json={path}"], stdout=subprocess.DEVNULL)
-        # Bench exit codes report paper-claim divergence, which is not this
-        # tool's concern; only a missing report is fatal.
         if proc.returncode != 0:
-            print(f"note: {os.path.basename(binary)} exited {proc.returncode}")
+            print(f"error: {os.path.basename(binary)} exited {proc.returncode} "
+                  f"(failed checks)")
+            return None
         with open(path) as f:
             return json.load(f)
     finally:
@@ -163,6 +170,8 @@ def main():
 
     if args.bench:
         doc = run_bench(args.bench)
+        if doc is None:
+            return 1
     else:
         with open(args.current) as f:
             doc = json.load(f)
