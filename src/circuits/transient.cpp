@@ -25,15 +25,15 @@ Transient::Transient(Circuit& circuit, Options options) : circuit_(circuit), opt
     if (c->has_commit()) commit_comps_.push_back(c);
     if (c->stamps_rhs()) rhs_comps_.push_back(c);
   }
+  PICO_REQUIRE(opt_.lu_cache_capacity >= 1, "LU cache needs at least one slot");
+  // Slots are found by pointer; pre-reserving keeps them stable.
+  lu_lru_.reserve(opt_.lu_cache_capacity);
   if (opt_.adaptive) {
     PICO_REQUIRE(opt_.dt_min > 0.0, "adaptive dt_min must be positive");
     PICO_REQUIRE(effective_dt_max() >= opt_.dt_min, "adaptive dt_max must be >= dt_min");
     PICO_REQUIRE(opt_.lte_tol > 0.0, "adaptive lte_tol must be positive");
     PICO_REQUIRE(opt_.growth_cap > 1.0, "adaptive growth_cap must exceed 1");
-    PICO_REQUIRE(opt_.lu_cache_capacity >= 1, "adaptive LU cache needs at least one slot");
     PICO_REQUIRE(opt_.observe_dt >= 0.0, "observe_dt must be non-negative");
-    // Slots are found by pointer; pre-reserving keeps them stable.
-    lu_lru_.reserve(opt_.lu_cache_capacity);
     x_hist1_.assign(dim, 0.0);
     x_hist2_.assign(dim, 0.0);
     x_accept_.assign(dim, 0.0);
@@ -48,57 +48,22 @@ void Transient::set_initial(Node n, Voltage v) {
 }
 
 void Transient::solve_cached(StampContext& ctx) {
-  // Matrix is constant for this (dt, method) until a component mutates its
-  // A stamp (tracked by the O(1) circuit-wide mutation epoch).
-  const std::uint64_t version = circuit_.matrix_epoch();
-  const bool cache_ok = lu_valid_ && lu_dt_ == ctx.dt && lu_method_ == ctx.method &&
-                        lu_version_ == version;
-  if constexpr (obs::kEnabled) {
-    if (cache_ok) {
-      ++lu_hits_;
-    } else {
-      if (lu_valid_) ++lu_invalidations_;  // a live cache was evicted
-      ++lu_misses_;
-    }
-  }
-  ctx.iterate = &x_;  // linear stamps never read it; kept for uniformity
-  if (!cache_ok) {
-    a_.fill(0.0);
-    b_.fill(0.0);
-    Stamper stamper(&a_, &b_, circuit_.num_nodes());
-    for (const Component* comp : all_comps_) comp->stamp(stamper, ctx);
-    lu_.factorize(a_);
-    ++lu_factorizations_;
-    lu_valid_ = true;
-    lu_dt_ = ctx.dt;
-    lu_method_ = ctx.method;
-    lu_version_ = version;
-  } else {
-    // rhs-only pass: pure-conductance components are skipped entirely; only
-    // source values and companion-model history currents land in b_.
-    b_.fill(0.0);
-    Stamper stamper(nullptr, &b_, circuit_.num_nodes());
-    for (const Component* comp : rhs_comps_) comp->stamp(stamper, ctx);
-  }
-  lu_.solve_into(b_, x_);
-  last_newton_ = 1;
-  newton_converged_ = true;
-  used_fast_path_ = true;
-}
-
-void Transient::solve_lru(StampContext& ctx) {
-  // Adaptive counterpart of solve_cached: the controller walks a geometric
-  // dt-ladder, so a handful of (dt, method, epoch) factorizations covers a
+  // The matrix is constant for a (dt, method) until a component mutates its
+  // A stamp (tracked by the O(1) circuit-wide mutation epoch), so a cached
+  // factorization keyed by all three is exactly the one a rebuild would
+  // produce. A fixed-step run needs at most three keys per epoch
+  // (backward-Euler start-up, the step dt, a clamped final step); the
+  // adaptive controller walks a geometric dt-ladder, so a handful covers a
   // whole duty cycle. Capacity is small; a linear scan beats any map.
   const std::uint64_t version = circuit_.matrix_epoch();
-  LadderLu* entry = nullptr;
+  CachedLu* entry = nullptr;
   for (auto& e : lu_lru_) {
     if (e.dt == ctx.dt && e.method == ctx.method && e.version == version) {
       entry = &e;
       break;
     }
   }
-  ctx.iterate = &x_;
+  ctx.iterate = &x_;  // linear stamps never read it; kept for uniformity
   if (entry == nullptr) {
     if constexpr (obs::kEnabled) ++lu_misses_;
     if (lu_lru_.size() < opt_.lu_cache_capacity) {
@@ -130,6 +95,8 @@ void Transient::solve_lru(StampContext& ctx) {
     entry->version = version;
   } else {
     if constexpr (obs::kEnabled) ++lu_hits_;
+    // rhs-only pass: pure-conductance components are skipped entirely; only
+    // source values and companion-model history currents land in b_.
     b_.fill(0.0);
     Stamper stamper(nullptr, &b_, circuit_.num_nodes());
     for (const Component* comp : rhs_comps_) comp->stamp(stamper, ctx);
@@ -182,7 +149,6 @@ void Transient::solve_full(StampContext& ctx) {
   // and retries with a smaller step.
   newton_converged_ = converged;
   std::swap(x_, iterate_);
-  lu_valid_ = false;  // lu_ now holds this step's factors, not the cache
   used_fast_path_ = false;
   ctx.iterate = &x_;
 }
@@ -328,11 +294,7 @@ double Transient::step_adaptive(double t_end) {
     ctx.method = (history_count_ == 0 || !trap) ? Method::kBackwardEuler
                                                 : Method::kTrapezoidal;
     ctx.time = clamped ? limit : time_ + dt;
-    if (fast_path_eligible_) {
-      solve_lru(ctx);
-    } else {
-      solve_full(ctx);
-    }
+    solve_system(ctx);
     err = newton_converged_ ? lte_error_ratio(ctx.time) : 0.0;
     const bool accept = newton_converged_ && err <= 1.0;
     if (accept || dt <= opt_.dt_min * (1.0 + 1e-9) || attempt >= 30) break;

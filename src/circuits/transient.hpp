@@ -10,19 +10,21 @@
 // matrix is constant for a given (dt, method), so it is stamped and
 // LU-factorized once and each step only re-stamps the right-hand side
 // (source values + companion-model history) and does an O(n²) in-place
-// substitution — no allocation, no O(n³) refactorization. The cache is
-// invalidated automatically when a switch toggles or a resistance changes
-// (matrix version tracking), and nonlinear circuits fall back to the full
-// Newton loop. See docs/PERFORMANCE.md.
+// substitution — no allocation, no O(n³) refactorization. Factorizations
+// live in one small LRU keyed by (dt, method, matrix epoch) that serves
+// fixed-step and adaptive runs alike; a switch toggle or resistance change
+// bumps the epoch, so stale entries never match, and nonlinear circuits fall
+// back to the full Newton loop. See docs/PERFORMANCE.md.
 //
 // Adaptive time-stepping (opt-in, `Options::adaptive`): a predictor-based
 // local-truncation-error estimate drives a PI step controller so duty-cycled
 // waveforms stretch dt through quiescent stretches and shrink it only at
-// edges. Accepted step sizes snap to a geometric dt-ladder feeding a small
-// LRU of LU factorizations; components may declare breakpoints so steps
-// land exactly on known discontinuities; `Options::observe_dt` turns the
-// run_until observer into dense output on a uniform grid. Fixed-step mode
-// remains the default and is bit-identical to the pre-adaptive engine.
+// edges. Accepted step sizes snap to a geometric dt-ladder so the run
+// settles onto a few cached factorizations; components may declare
+// breakpoints so steps land exactly on known discontinuities;
+// `Options::observe_dt` turns the run_until observer into dense output on a
+// uniform grid. Fixed-step mode remains the default and is bit-identical to
+// the pre-adaptive engine.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +68,7 @@ class Transient {
     // run settles onto 2-3 reusable LU factorizations instead of thrashing
     // the cache with a continuum of dt values. <= 1 disables snapping.
     double dt_ladder_ratio = 2.0;
-    std::size_t lu_cache_capacity = 4;  // dt-ladder LRU slots (adaptive only)
+    std::size_t lu_cache_capacity = 4;  // LU cache slots (both modes; >= 1)
     // Dense output: > 0 makes the adaptive run_until observer fire on the
     // uniform grid t0 + k*observe_dt (solution linearly interpolated between
     // accepted steps) instead of at the irregular accepted times, so
@@ -110,16 +112,16 @@ class Transient {
   // Number of LU factorizations performed so far (fast path: one per
   // cache rebuild; full path: one per Newton iteration).
   [[nodiscard]] std::uint64_t lu_factorizations() const { return lu_factorizations_; }
+  // Live entries in the LU cache (bounded by Options::lu_cache_capacity).
+  [[nodiscard]] std::size_t lu_cache_entries() const { return lu_lru_.size(); }
+  // Evictions of a still-current factorization (capacity pressure).
+  [[nodiscard]] std::uint64_t lu_cache_evictions() const { return lu_evictions_; }
 
   // --- Adaptive-run introspection (functional, never compiled out) ----------
   // Rejected step attempts (LTE over tolerance or Newton non-convergence).
   [[nodiscard]] std::uint64_t lte_rejections() const { return rejections_; }
   // Steps clamped to land exactly on a registered breakpoint.
   [[nodiscard]] std::uint64_t breakpoint_hits() const { return bp_hits_; }
-  // Live entries in the dt-ladder LRU (bounded by Options::lu_cache_capacity).
-  [[nodiscard]] std::size_t lu_cache_entries() const { return lu_lru_.size(); }
-  // Evictions of a still-current factorization (capacity pressure).
-  [[nodiscard]] std::uint64_t lu_cache_evictions() const { return lu_evictions_; }
   // The controller's current proposal for the next step size.
   [[nodiscard]] double proposed_dt() const { return dt_next_; }
 
@@ -144,8 +146,8 @@ class Transient {
   // For a linear time-invariant run, hits + misses == steps.
   [[nodiscard]] std::uint64_t lu_cache_hits() const { return lu_hits_; }
   [[nodiscard]] std::uint64_t lu_cache_misses() const { return lu_misses_; }
-  // Misses that evicted a previously-valid cache (switch toggled, dt or
-  // method changed), as opposed to the initial cold build.
+  // Misses that reused the slot of a stale factorization (matrix epoch
+  // changed), as opposed to filling a free slot or evicting a current one.
   [[nodiscard]] std::uint64_t lu_cache_invalidations() const { return lu_invalidations_; }
 
  private:
@@ -155,11 +157,9 @@ class Transient {
   void solve_system(StampContext& ctx);
   // Full per-iteration restamp + refactorize (Newton / DC / fallback).
   void solve_full(StampContext& ctx);
-  // Cached-LU rhs-only solve for linear time-invariant circuits (fixed-step
-  // single-slot cache; exact op order of the reference path).
+  // Cached-LU rhs-only solve for linear time-invariant circuits (LRU of
+  // factorizations; exact op order of the reference path).
   void solve_cached(StampContext& ctx);
-  // Adaptive counterpart: dt-ladder LRU of factorizations.
-  void solve_lru(StampContext& ctx);
   // Commit companion-model history after an accepted step.
   void commit_step(StampContext& ctx);
   // One fixed step of the given size (extracted from step() so run_until
@@ -207,15 +207,21 @@ class Transient {
   std::vector<Component*> commit_comps_;
   std::vector<const Component*> rhs_comps_;
 
-  // Cached-LU key; the cache is rebuilt whenever it mismatches.
-  bool lu_valid_ = false;
-  double lu_dt_ = 0.0;
-  Method lu_method_ = Method::kTrapezoidal;
-  std::uint64_t lu_version_ = 0;
-
   bool fast_path_eligible_ = false;
   bool used_fast_path_ = false;
   std::uint64_t lu_factorizations_ = 0;
+
+  // LRU of factorizations keyed by (dt, method, matrix epoch), both modes.
+  struct CachedLu {
+    double dt = 0.0;
+    Method method = Method::kTrapezoidal;
+    std::uint64_t version = 0;
+    std::uint64_t tick = 0;  // LRU stamp
+    LuSolver lu;
+  };
+  std::vector<CachedLu> lu_lru_;
+  std::uint64_t lu_tick_ = 0;
+  std::uint64_t lu_evictions_ = 0;
 
   // --- Adaptive state ---
   double dt_next_ = 0.0;        // controller proposal (0 until first run)
@@ -231,19 +237,6 @@ class Transient {
   std::size_t bp_cursor_ = 0;
   std::uint64_t rejections_ = 0;
   std::uint64_t bp_hits_ = 0;
-  std::uint64_t lu_evictions_ = 0;
-
-  // dt-ladder LRU of factorizations (adaptive runs only; the fixed-step
-  // single-slot cache above is untouched to preserve bit-identity).
-  struct LadderLu {
-    double dt = 0.0;
-    Method method = Method::kTrapezoidal;
-    std::uint64_t version = 0;
-    std::uint64_t tick = 0;  // LRU stamp
-    LuSolver lu;
-  };
-  std::vector<LadderLu> lu_lru_;
-  std::uint64_t lu_tick_ = 0;
 
   // Observability accounting (all increments sit behind
   // `if constexpr (obs::kEnabled)` so an OFF build carries no code).

@@ -23,6 +23,9 @@ namespace pico::fleet {
 
 namespace {
 constexpr double kBoltzmann = 1.380649e-23;
+constexpr const char* kRestoreFailed =
+    "fleet session holds a failed restore(): restore a valid checkpoint or "
+    "start a new session";
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   // splitmix64 finalizer over a running hash: cheap, stable, and any
@@ -200,6 +203,10 @@ struct FleetSession::Impl {
   std::vector<std::uint8_t> air_work;
   FleetPhaseBreakdown phase;
   bool finished = false;
+  // Set while restore() runs and left set if it throws: a blob rejected
+  // part-way leaves cursors and domains from two different runs, so the
+  // session refuses to run or save until a restore succeeds.
+  bool restore_failed = false;
 
   Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in);
   ~Impl();
@@ -427,6 +434,7 @@ FleetSession::Impl::~Impl() {
 
 void FleetSession::Impl::run_until(double t_target_s) {
   PICO_REQUIRE(!finished, "fleet session already finished");
+  PICO_REQUIRE(!restore_failed, kRestoreFailed);
   const double target = std::min(t_target_s, spec.sim_time_s);
 
   // --- Epoch-loop jobs ------------------------------------------------------
@@ -693,6 +701,7 @@ FleetSession::Impl::guard_fields() const {
 
 void FleetSession::Impl::save(ckpt::Writer& w) const {
   PICO_REQUIRE(!finished, "cannot checkpoint a finished fleet session");
+  PICO_REQUIRE(!restore_failed, kRestoreFailed);
 
   // FSPC: the spec guard plus the fault plan as its spec text. v2 dropped
   // the epoch-path selector field along with the second epoch path.
@@ -747,6 +756,7 @@ void FleetSession::Impl::save(ckpt::Writer& w) const {
 
 void FleetSession::Impl::restore(ckpt::Reader& r) {
   PICO_REQUIRE(!finished, "cannot restore into a finished fleet session");
+  restore_failed = true;  // cleared once every section has applied
   const auto expect = [&r](const char (&tg)[5], std::uint32_t version) {
     const std::uint32_t got = r.enter_section(ckpt::tag(tg));
     if (got != version) {
@@ -847,6 +857,7 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
   if (!r.at_end()) {
     throw ckpt::CheckpointError("trailing bytes after fleet checkpoint");
   }
+  restore_failed = false;
 }
 
 FleetSession::FleetSession(const FleetSpec& spec, const FleetObsHooks& hooks)

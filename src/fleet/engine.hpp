@@ -241,6 +241,8 @@ class FleetSession {
   // --- Checkpoint/restore (src/ckpt) -----------------------------------------
   [[nodiscard]] std::vector<std::uint8_t> save() const;
   void save_file(const std::string& path) const;
+  // A restore that throws leaves the session unusable: run_until(),
+  // finish() and save() then throw until a later restore succeeds.
   void restore(const std::vector<std::uint8_t>& blob);
   void restore_file(const std::string& path);
 

@@ -1,28 +1,23 @@
 // metrics.hpp — named counters, gauges, and fixed-bucket histograms.
 //
-// Thread model: every producing thread gets its own *shard* (a private slot
-// array), so hot-path `add`/`set`/`observe` touch only thread-local state
-// behind a never-contended per-shard mutex — the work-stealing
-// ParallelRunner can bump counters from every worker without cacheline
-// ping-pong. `snapshot()` locks each shard briefly and merges:
+// Thread model: one mutex guards every metric cell, so registration, the
+// mutating calls and `snapshot()` are all safe from any thread. Producers
+// publish totals once at the end of a run (or a Monte Carlo trial), and the
+// one per-step producer (Transient's dt histogram) runs on its owner's
+// thread, so the lock is effectively uncontended. Aggregation is in place:
 //
-//   counter    — sum across shards
-//   gauge      — last write wins (global sequence number), or max across
-//                shards for monotone gauges (GaugeAgg::kMax, e.g. queue
-//                high-water marks)
-//   histogram  — bucket-wise sum; sum/min/max/count merged
+//   counter    — running sum of every add()
+//   gauge      — last write wins (GaugeAgg::kLast), or max of every write
+//                for monotone gauges (GaugeAgg::kMax, e.g. queue high-water
+//                marks)
+//   histogram  — bucket counts plus sum/min/max/count
 //
-// Contract: register metrics (counter()/gauge()/histogram()) before handing
-// the registry to concurrent producers; the mutating calls themselves are
-// safe from any thread. Registering the same name twice returns the same
-// id, so many instances (e.g. one Transient per Monte Carlo trial) can
-// publish into one registry and their counters accumulate.
+// Registering the same name twice returns the same id, so many instances
+// (e.g. one Transient per Monte Carlo trial) can publish into one registry
+// and their counters accumulate.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -57,8 +52,8 @@ struct HistogramSnapshot {
   // Interpolated quantile from the bucket histogram: walk the cumulative
   // counts to the bucket holding rank p*count, interpolate linearly inside
   // it, clamp to the observed [min, max]. Underflow mass sits at min,
-  // overflow mass at max. Depends only on the merged bucket counts, so it
-  // is invariant to shard merge order. p in [0, 1]; 0 with no samples.
+  // overflow mass at max. Depends only on the bucket counts, so it is
+  // invariant to observation order. p in [0, 1]; 0 with no samples.
   [[nodiscard]] double quantile(double p) const;
 };
 
@@ -85,8 +80,7 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -95,7 +89,7 @@ class MetricsRegistry {
   MetricId gauge(const std::string& name, GaugeAgg agg = GaugeAgg::kLast);
   MetricId histogram(const std::string& name, double lo, double hi, std::uint32_t buckets);
 
-  // --- Hot path (any thread) ------------------------------------------------
+  // --- Updates (any thread) ------------------------------------------------
   void add(MetricId id, double delta = 1.0);     // counter
   void set(MetricId id, double value);           // gauge
   void observe(MetricId id, double value);       // histogram
@@ -103,40 +97,20 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  struct Descriptor {
-    std::string name;
-    MetricKind kind;
+  struct Metric {
+    MetricKind kind = MetricKind::kCounter;
     GaugeAgg agg = GaugeAgg::kLast;
-    double lo = 0.0, hi = 0.0;
-    std::uint32_t buckets = 0;
-    std::uint32_t slot = 0;  // index into the shard's scalar/hist array
-  };
-  struct ScalarCell {
-    double value = 0.0;
-    std::uint64_t seq = 0;  // 0 = never written (gauges)
-  };
-  struct HistCell {
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t underflow = 0, overflow = 0, count = 0;
-    double sum = 0.0, min = 0.0, max = 0.0;
-  };
-  struct Shard {
-    std::mutex m;  // uncontended except during snapshot()
-    std::vector<ScalarCell> scalars;
-    std::vector<HistCell> hists;
+    bool written = false;    // gauge set at least once (kMax seeds on it)
+    double value = 0.0;      // counter sum / gauge value
+    std::string name;
+    HistogramSnapshot hist;  // histograms: name, range, buckets and moments
   };
 
-  MetricId register_metric(Descriptor desc);
-  Shard& local_shard();
+  MetricId register_metric(Metric metric);
 
-  const std::uint64_t uid_;  // process-unique; keys the thread-local shard cache
-  mutable std::mutex m_;     // protects descriptors_/by_name_/shards_
-  std::deque<Descriptor> descriptors_;  // deque: stable refs for lock-free reads
+  mutable std::mutex m_;         // guards everything below
+  std::vector<Metric> metrics_;  // indexed by MetricId, registration order
   std::unordered_map<std::string, MetricId> by_name_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint32_t num_scalars_ = 0;
-  std::uint32_t num_hists_ = 0;
-  std::atomic<std::uint64_t> seq_{0};
 };
 
 }  // namespace pico::obs

@@ -8,8 +8,8 @@
 //
 //   obs::Span s(tracer_, "transient.run_until");   // tracer_ may be null
 //
-// Buffers are per-thread (same sharding idea as MetricsRegistry) so
-// workers trace without contention; `write_chrome_trace()` merges them
+// Buffers are per-thread so workers trace without contention;
+// `write_chrome_trace()` merges them
 // into the Chrome trace-event JSON format ("Complete" X events, ts/dur in
 // microseconds) loadable in chrome://tracing or Perfetto, and
 // `write_csv()` emits the same records as a flat table.

@@ -4,7 +4,8 @@
 Drives the checker's --bench path with a fake bench: a small script that
 writes a BenchIo-shaped report to --json=<path> and exits with a chosen
 code. A bench's exit code counts its failed checks, so a non-zero exit
-must fail the check even when every value sits on its baseline.
+must fail the check even when every value sits on its baseline. A plain
+check (no --update/--record-missing) never writes the baseline file.
 """
 
 import json
@@ -22,7 +23,7 @@ FAKE_BENCH = """#!{python}
 import sys
 path = next(a for a in sys.argv[1:] if a.startswith("--json="))[len("--json="):]
 with open(path, "w") as f:
-    f.write('{{"metrics": {{"rate": 100.0}}}}')
+    f.write('{{"metrics": {metrics}}}')
 sys.exit({code})
 """
 
@@ -43,10 +44,12 @@ class CheckBenchTest(unittest.TestCase):
     def tearDown(self):
         self.dir.cleanup()
 
-    def fake_bench(self, code):
+    def fake_bench(self, code, metrics=None):
         path = os.path.join(self.dir.name, f"bench_exit{code}")
+        metrics = json.dumps(metrics or {"rate": 100.0})
         with open(path, "w") as f:
-            f.write(FAKE_BENCH.format(python=sys.executable, code=code))
+            f.write(FAKE_BENCH.format(python=sys.executable, code=code,
+                                      metrics=metrics))
         os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
         return path
 
@@ -71,6 +74,16 @@ class CheckBenchTest(unittest.TestCase):
         self.assertEqual(rc, 1, out)
         with open(self.baseline) as f:
             self.assertEqual(json.load(f), {})
+
+    def test_plain_check_never_writes_the_baseline(self):
+        with open(self.baseline, "rb") as f:
+            before = f.read()
+        rc, out = run_tool("--bench", self.fake_bench(0, {"rate": 100.0, "extra": 7.0}),
+                           "--baseline", self.baseline, "--name", "fake")
+        self.assertEqual(rc, 0, out)
+        self.assertIn("NEW       extra", out)
+        with open(self.baseline, "rb") as f:
+            self.assertEqual(f.read(), before)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@
 // On failure the harness shrinks to the earliest failing cut epoch and
 // prints a one-line repro (corpus seed, index, cut, shards, threads),
 // which `bench_soak_corpus --index N --checkpoint-at T` replays directly.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/codec.hpp"
 #include "common/rng.hpp"
 #include "fleet/engine.hpp"
 #include "obs/flight.hpp"
@@ -318,6 +320,62 @@ TEST(FleetCheckpointTest, RestoredSessionResavesByteIdentical) {
   fleet::FleetSession s(gen.spec, o.hooks());
   s.restore(blob);
   EXPECT_EQ(s.save(), blob);
+}
+
+// A blob that passes FSPC and FENG but is rejected in FDOM has already
+// moved the session's cursors to the saved time. Running on would silently
+// skip everything before it, so the session must refuse to run or save
+// until a restore succeeds — and then resume exactly.
+TEST(FleetCheckpointTest, RejectedRestoreLeavesSessionUnusable) {
+  const fleet::FleetSpec spec = retirement_spec();
+  Obs base_o;
+  fleet::FleetSession base_s(spec, base_o.hooks());
+  const RunResult want = collect(base_o, base_s.finish());
+
+  std::vector<std::uint8_t> blob;
+  {
+    Obs o;
+    fleet::FleetSession s(spec, o.hooks());
+    s.run_until(120.0);
+    blob = s.save();
+  }
+  // Bump FDOM's domain count (the u64 after its tag, version and length)
+  // and re-seal the trailing FNV-1a digest so only the count check fires.
+  const std::vector<std::uint8_t> fdom = {'F', 'D', 'O', 'M'};
+  const auto at = std::search(blob.begin(), blob.end(), fdom.begin(), fdom.end());
+  ASSERT_NE(at, blob.end());
+  std::vector<std::uint8_t> bad = blob;
+  ++bad[static_cast<std::size_t>(at - blob.begin()) + 4 + 4 + 8];
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i + 8 < bad.size(); ++i) {
+    h ^= bad[i];
+    h *= 0x100000001b3ULL;
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    bad[bad.size() - 8 + i] = static_cast<std::uint8_t>(h >> (8 * i));
+  }
+
+  Obs o;
+  fleet::FleetSession s(spec, o.hooks());
+  try {
+    s.restore(bad);
+    FAIL() << "a domain-count mismatch must be rejected";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("domains"), std::string::npos) << e.what();
+  }
+  for (const auto& use : {+[](fleet::FleetSession& f) { f.run_until(240.0); },
+                          +[](fleet::FleetSession& f) { (void)f.finish(); },
+                          +[](fleet::FleetSession& f) { (void)f.save(); }}) {
+    try {
+      use(s);
+      FAIL() << "a session holding a failed restore must not run or save";
+    } catch (const DesignError& e) {
+      EXPECT_NE(std::string(e.what()).find("failed restore"), std::string::npos)
+          << e.what();
+    }
+  }
+  s.restore(blob);
+  EXPECT_TRUE(equal(want, collect(o, s.finish())));
 }
 
 // The FDOM/FSPC/FENG/SERS/FLIT bytes of one fixed save, pinned: size and

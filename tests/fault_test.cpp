@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "fault/scenarios.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 
@@ -65,6 +69,61 @@ TEST(FaultPlan, RandomizedIsDeterministicInTheStream) {
   // Every generated event validates and the plan survives the codec.
   for (const auto& ev : p1.events()) ev.validate();
   EXPECT_EQ(fault::FaultPlan::parse(p1.to_spec()), p1);
+}
+
+// Every mutant of a named scenario's spec either throws DesignError (the
+// PICO_REQUIRE contract of parse) or parses to a plan whose spec is a
+// round-trip fixed point. Any other exception, or a crash under asan, is a
+// decoder bug. Mutants: every truncation, every doubled separator, and
+// seeded splices and byte flips.
+TEST(FaultPlan, ParseSurvivesSeededMutation) {
+  std::vector<std::string> specs;
+  for (const fault::Scenario& sc : fault::scenario_library()) {
+    specs.push_back(sc.config.faults.to_spec());
+  }
+  std::vector<std::string> mutants;
+  Rng rng(0x5eed);
+  constexpr std::string_view kAlphabet = "0123456789.-+eE@~=,;xn ";
+  for (const std::string& spec : specs) {
+    ASSERT_FALSE(spec.empty());
+    for (std::size_t n = 0; n < spec.size(); ++n) mutants.push_back(spec.substr(0, n));
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      if (std::string_view(";,~@").find(spec[i]) != std::string_view::npos) {
+        mutants.push_back(spec.substr(0, i + 1) + spec.substr(i));
+      }
+    }
+    for (int k = 0; k < 200; ++k) {
+      const std::string& other = specs[rng.below(specs.size())];
+      mutants.push_back(spec.substr(0, rng.below(spec.size() + 1)) +
+                        other.substr(rng.below(other.size() + 1)));
+      std::string flipped = spec;
+      const std::size_t at = rng.below(spec.size());
+      if (rng.chance(0.5)) {
+        flipped[at] = static_cast<char>(flipped[at] ^ (1 << rng.below(8)));
+      } else {
+        flipped[at] = kAlphabet[rng.below(kAlphabet.size())];
+      }
+      mutants.push_back(flipped);
+    }
+  }
+
+  std::size_t parsed = 0;
+  for (const std::string& m : mutants) {
+    try {
+      const fault::FaultPlan plan = fault::FaultPlan::parse(m);
+      const std::string spec = plan.to_spec();
+      const fault::FaultPlan again = fault::FaultPlan::parse(spec);
+      EXPECT_EQ(again.to_spec(), spec) << "mutant '" << m << "'";
+      ++parsed;
+    } catch (const DesignError&) {
+      // The documented rejection.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant '" << m << "' threw " << e.what();
+    }
+  }
+  // Both outcomes are exercised, not just rejection.
+  EXPECT_GT(parsed, specs.size());
+  EXPECT_LT(parsed, mutants.size());
 }
 
 // Injector harness recording every hook invocation.

@@ -278,7 +278,7 @@ TEST(Metrics, HistogramQuantileIsMergeOrderInvariant) {
   // The same sample multiset observed in ascending order on one thread,
   // descending order on one thread, and scattered across runner workers
   // must produce identical quantiles: the estimate depends only on the
-  // merged bucket counts, never on shard merge order.
+  // bucket counts, never on the order the samples arrived in.
   constexpr int kSamples = 4096;
   const auto sample = [](int i) {
     return static_cast<double>((i * 37) % kSamples) / 40.0;
@@ -316,7 +316,7 @@ TEST(Metrics, SnapshotMissingNameFallsBack) {
   EXPECT_EQ(snap.histogram("nope"), nullptr);
 }
 
-// --- thread-shard aggregation under the work-stealing runner -----------------
+// --- aggregation of concurrent producers under the work-stealing runner -----
 
 TEST(Metrics, ShardsAggregateAcrossRunnerWorkers) {
   MetricsRegistry m;

@@ -1,6 +1,7 @@
 // Tests for the cached-LU linear fast path of the transient engine:
 // bit-identical waveforms with the cache on vs off, automatic fallback
-// for nonlinear circuits, and cache invalidation on matrix mutations.
+// for nonlinear circuits, cache invalidation on matrix mutations, and the
+// one (dt, method, epoch) LU cache shared by fixed-step and adaptive runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include "circuits/circuit.hpp"
 #include "circuits/components.hpp"
 #include "circuits/transient.hpp"
+#include "common/error.hpp"
 
 namespace pico::circuits {
 namespace {
@@ -22,14 +24,21 @@ struct Waveform {
   bool fast = false;
 };
 
-Waveform run_rc(bool cache, Method method) {
-  Circuit c;
+// Sine-driven RC low-pass; returns the output node.
+Node build_rc(Circuit& c) {
   const Node in = c.node("in");
   const Node out = c.node("out");
   c.add<VoltageSource>("vin", in, kGround,
                        VoltageSource::Waveform{[](double t) { return std::sin(2.0 * M_PI * 5e3 * t); }});
   c.add<Resistor>("r", in, out, Resistance{1e3});
   c.add<Capacitor>("c", out, kGround, Capacitance{1e-6});
+  return out;
+}
+
+// The RC fixture at dt = 1 us, run to each of `stops` in turn.
+Waveform run_rc(bool cache, Method method, const std::vector<double>& stops = {2e-3}) {
+  Circuit c;
+  const Node out = build_rc(c);
 
   Transient::Options opt;
   opt.dt = 1e-6;
@@ -37,9 +46,11 @@ Waveform run_rc(bool cache, Method method) {
   opt.cache_linear_lu = cache;
   Transient tr(c, opt);
   Waveform w;
-  tr.run_until(Duration{2e-3}, [&](double, const Vector& x) {
-    w.v1.push_back(Circuit::voltage_of(x, out));
-  });
+  for (const double t_end : stops) {
+    tr.run_until(Duration{t_end}, [&](double, const Vector& x) {
+      w.v1.push_back(Circuit::voltage_of(x, out));
+    });
+  }
   w.final_x = tr.solution();
   w.factorizations = tr.lu_factorizations();
   w.fast = tr.used_fast_path();
@@ -170,6 +181,46 @@ TEST(TransientFastPath, RedundantSetOnDoesNotRefactorize) {
   sw->set_on(true);  // no state change -> no version bump
   tr.step();
   EXPECT_EQ(tr.lu_factorizations(), f);
+}
+
+TEST(TransientFastPath, ClampedFinalStepKeepsFullStepFactorization) {
+  // 1.5004 ms ends on a 0.4 us clamped step, and the second run resumes at
+  // the full dt. The full-dt factors survive the clamped step in the cache:
+  // BE start-up, full dt, 0.4 us, 0.6 us = 4 factorizations, not a rebuild
+  // of the full-dt matrix after the clamp.
+  const std::vector<double> stops = {1.5004e-3, 3e-3};
+  const Waveform fast = run_rc(/*cache=*/true, Method::kTrapezoidal, stops);
+  const Waveform slow = run_rc(/*cache=*/false, Method::kTrapezoidal, stops);
+  EXPECT_EQ(fast.factorizations, 4u);
+  ASSERT_EQ(fast.v1.size(), slow.v1.size());
+  for (std::size_t i = 0; i < fast.v1.size(); ++i) {
+    ASSERT_EQ(fast.v1[i], slow.v1[i]) << "sample " << i;
+  }
+  ASSERT_EQ(fast.final_x.size(), slow.final_x.size());
+  for (std::size_t i = 0; i < fast.final_x.size(); ++i) {
+    EXPECT_EQ(fast.final_x[i], slow.final_x[i]);
+  }
+}
+
+TEST(TransientFastPath, AdaptiveEngineStepUsesTheSameCache) {
+  Circuit c;
+  build_rc(c);
+  Transient::Options opt;
+  opt.dt = 1e-6;
+  opt.adaptive = true;
+  Transient tr(c, opt);
+  tr.step();
+  EXPECT_TRUE(tr.used_fast_path());
+  EXPECT_EQ(tr.lu_cache_entries(), 1u);
+  EXPECT_EQ(tr.lu_factorizations(), 1u);
+}
+
+TEST(TransientFastPath, CacheCapacityCheckedInFixedStepMode) {
+  Circuit c;
+  build_rc(c);
+  Transient::Options opt;
+  opt.lu_cache_capacity = 0;
+  EXPECT_THROW({ Transient tr(c, opt); }, DesignError);
 }
 
 }  // namespace

@@ -29,7 +29,10 @@ Usage:
     check_bench.py --current BENCH_storage.json --baseline ... --name storage
     check_bench.py --validate-series out/run.series.jsonl
 
---update rewrites the named entry from the current run instead of checking.
+--update rewrites the named entry from the current run instead of checking;
+--record-missing records it only when the entry does not exist yet. Without
+either flag the baseline file is never written: keys the run reports but the
+baseline lacks are listed as NEW and do not change the verdict.
 --validate-series is a standalone mode: it checks a telemetry-series JSONL
 file (one object per sample row) for schema sanity — numeric strictly
 increasing ``t_s``, one consistent key set across rows, every value numeric
@@ -67,6 +70,16 @@ def extract_values(doc):
     else:
         raise ValueError("unrecognized bench JSON shape (no benchmarks/metrics/checks)")
     return values
+
+
+def record_entry(baseline, path, name, current, tolerance):
+    """Set baseline[name]'s values to this run's and write the file."""
+    entry = baseline.setdefault(name, {})
+    entry.setdefault("tolerance", tolerance or DEFAULT_TOLERANCE)
+    entry["values"] = current
+    with open(path, "w") as f:
+        json.dump(baseline, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def run_bench(binary):
@@ -190,23 +203,13 @@ def main():
             baseline = json.load(f)
 
     if args.update:
-        entry = baseline.setdefault(args.name, {})
-        entry.setdefault("tolerance", args.tolerance or DEFAULT_TOLERANCE)
-        entry["values"] = current
-        with open(args.baseline, "w") as f:
-            json.dump(baseline, f, indent=2, sort_keys=True)
-            f.write("\n")
+        record_entry(baseline, args.baseline, args.name, current, args.tolerance)
         print(f"updated '{args.name}' in {args.baseline} ({len(current)} values)")
         return 0
 
     if args.name not in baseline:
         if args.record_missing:
-            entry = baseline.setdefault(args.name, {})
-            entry.setdefault("tolerance", args.tolerance or DEFAULT_TOLERANCE)
-            entry["values"] = current
-            with open(args.baseline, "w") as f:
-                json.dump(baseline, f, indent=2, sort_keys=True)
-                f.write("\n")
+            record_entry(baseline, args.baseline, args.name, current, args.tolerance)
             print(f"warning: no baseline entry '{args.name}' — recorded "
                   f"{len(current)} value(s) from this run")
             return 0
@@ -237,18 +240,12 @@ def main():
             failures += 1
 
     # Keys present in the run but absent from the baseline are new metrics
-    # (a bench gained a counter): record them into the baseline and warn,
-    # rather than failing — only divergence and disappearance are errors.
+    # (a bench gained a counter): list them, rather than failing — only
+    # divergence and disappearance are errors. A check never writes the
+    # baseline; --update records them.
     new_keys = sorted(set(current) - set(entry["values"]))
-    if new_keys:
-        for key in new_keys:
-            print(f"NEW       {key}: {current[key]:g} (recorded to baseline)")
-            entry["values"][key] = current[key]
-        with open(args.baseline, "w") as f:
-            json.dump(baseline, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"warning: {len(new_keys)} new metric(s) recorded into "
-              f"'{args.name}' in {args.baseline}")
+    for key in new_keys:
+        print(f"NEW       {key}: {current[key]:g} (not in baseline; --update records it)")
 
     if failures:
         print(f"\n{failures} value(s) outside tolerance for '{args.name}'")
