@@ -16,9 +16,10 @@
 //      frames than its rich-budget twin, node_seconds_alive strictly
 //      inside (0, nodes x sim_time), and the same bit-identity contract.
 //
-// tools/check_bench.py diffs the throughput metrics against
-// BENCH_BASELINE.json (--record-missing seeds the entry on first run);
-// the deterministic counters ride along and are effectively exact.
+// The --json metrics are the deterministic counters only, and the
+// pins_bench_fleet_arq ctest compares them exactly with BENCH_BASELINE.json
+// (tools/check_bench.py). Wall-clock rates print in the tables but stay
+// out of the report; perfbench/ measures throughput.
 #include <chrono>
 #include <iostream>
 
@@ -116,6 +117,7 @@ int main(int argc, char** argv) {
               fixed(dead.node_seconds_alive, 0)});
   tt.add_row({"alive fraction", "1.00", fixed(alive_frac, 2)});
   tt.add_row({"wall time", "", fixed(tight_wall_s, 2) + " s"});
+  tt.add_row({"node-sim-seconds / wall-second", "", si(tight_rate, "node-s/s")});
   tt.add_note("retired nodes leave the wake calendar at their interpolated");
   tt.add_note("depletion time: no frames, no draws, no energy after death.");
   tt.print(std::cout);
@@ -124,8 +126,6 @@ int main(int argc, char** argv) {
     arq.publish_metrics(s->metrics());
   }
 
-  io.metric("node_sim_s_per_wall_s", arq_rate);
-  io.metric("tight_node_sim_s_per_wall_s", tight_rate);
   io.metric("frames_on_air", static_cast<double>(arq.frames_on_air));
   io.metric("frames_delivered", static_cast<double>(arq.delivered));
   io.metric("arq_retries", static_cast<double>(arq.arq_retries));

@@ -117,9 +117,6 @@ int main(int argc, char** argv) {
   }
 
   io.metric("nodes", static_cast<double>(big.nodes));
-  io.metric("node_sim_s_per_wall_s", big_rate);
-  io.metric("shared_timeline_rate", ref_rate);
-  io.metric("speedup_vs_shared_timeline", speedup);
   io.metric("frames_on_air", static_cast<double>(big.frames_on_air));
   io.metric("frames_delivered", static_cast<double>(big.delivered));
   io.metric("edge_exports", static_cast<double>(big.edge_exports));
@@ -163,14 +160,7 @@ int main(int argc, char** argv) {
   tm.print(std::cout);
 
   io.metric("e19_nodes", static_cast<double>(act.nodes));
-  io.metric("e19_node_sim_s_per_wall_s", act_rate);
   io.metric("e19_active_domain_frac", active_frac);
-  io.metric("e19_phase_setup_s", ph.setup_s);
-  io.metric("e19_phase_advance_s", ph.advance_s);
-  io.metric("e19_phase_exchange_s", ph.exchange_s);
-  io.metric("e19_phase_resolve_s", ph.resolve_s);
-  io.metric("e19_phase_obs_s", ph.obs_s);
-  io.metric("e19_phase_finalize_s", ph.finalize_s);
 
   bench::PaperCheck check("E17 / fleet scale");
   check.add_text("completes a >= 100k-node behavioral scenario",

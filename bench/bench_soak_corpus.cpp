@@ -15,9 +15,10 @@
 //   --resume-from=P  Restore scenario --index from the blob and run to the
 //                    horizon, reporting final metrics.
 //
-// tools/soak_runner.py drives the save/resume pair per scenario and diffs
-// the resumed metrics against the uninterrupted run's; the default mode is
-// the self-contained CI lane (perf_soak_corpus in the top-level CMake).
+// tools/soak_runner.py drives the save/resume pair per scenario as
+// separate processes and compares the resumed metrics with the
+// uninterrupted run's exactly (the soak_corpus_resume ctest); the default
+// mode runs the same drill in one process.
 //
 // Flags beyond the shared --json/--telemetry:
 //   --corpus-seed=N     generator corpus seed            (default 2008)

@@ -148,13 +148,13 @@ int main(int argc, char** argv) {
                                     fixed(percentile(samples, 0.50), 2) + " / " +
                                     fixed(percentile(samples, 0.90), 2) + " uW"});
   t.add_row({"mean sleep floor", fixed(floor_stats.mean(), 2) + " uW"});
+  t.add_note("on " + std::to_string(runner.threads()) + " worker thread(s)");
   t.print(std::cout);
 
   std::cout << "-- distribution of average power [uW] --\n" << hist.ascii(40);
 
   io.metric("base_seed", static_cast<double>(kBaseSeed));
   io.metric("trials", static_cast<double>(n));
-  io.metric("threads", static_cast<double>(runner.threads()));
   io.metric("avg_power_uw_mean", avg.mean());
   io.metric("avg_power_uw_stddev", avg.stddev());
   io.metric("avg_power_uw_min", avg.min());

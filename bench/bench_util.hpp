@@ -96,7 +96,10 @@ class PaperCheck {
 //
 // The JSON document is stable across benches:
 //   {"bench": ..., "metrics": {...}, "checks": [...], "diverging": N}
-// which is what tools/check_bench.py diffs against BENCH_BASELINE.json.
+// tools/check_bench.py compares its metrics and numeric checks exactly
+// with the bench's BENCH_BASELINE.json pins, so metric() takes only
+// deterministic values: a wall-clock rate belongs in a printed table
+// (perfbench/ measures throughput).
 class BenchIo {
  public:
   BenchIo(std::string bench, int argc, char** argv)

@@ -38,6 +38,11 @@ Rng::State read_rng(Reader& r) {
   for (auto& s : st.s) s = r.u64();
   st.cached_normal = r.f64();
   st.has_cached_normal = r.b();
+  // xoshiro256++ never reaches the all-zero state, and from it every draw
+  // is 0: Rng::normal() would spin forever looking for a positive uniform.
+  if ((st.s[0] | st.s[1] | st.s[2] | st.s[3]) == 0) {
+    throw CheckpointError("rng state is all zero");
+  }
   return st;
 }
 

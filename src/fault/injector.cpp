@@ -30,7 +30,7 @@ void FaultInjector::arm() {
     ++counters_.events_armed;
     const std::string label = std::string("fault.") + to_string(ev.kind);
     sim_.schedule_at(Duration{ev.at_s}, [this, ev] { open_window(ev); }, label);
-    if (ev.windowed() && ev.duration_s > 0.0) {
+    if (ev.windowed()) {
       sim_.schedule_at(Duration{ev.at_s + ev.duration_s},
                        [this, ev] { close_window(ev); }, label + ".end");
     }

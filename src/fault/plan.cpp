@@ -72,10 +72,12 @@ void FaultEvent::validate() const {
                    "storage capacity factor must be within (0, 1]");
       PICO_REQUIRE(param2 >= 1.0, "storage resistance multiplier must be >= 1");
       PICO_REQUIRE(param3 >= 1.0, "storage self-discharge multiplier must be >= 1");
+      PICO_REQUIRE(duration_s == 0.0, "storage aging is permanent: it takes no window");
       break;
     case FaultKind::kConverterDegradation:
       PICO_REQUIRE(magnitude > 0.0 && magnitude <= 1.0,
                    "converter efficiency factor must be within (0, 1]");
+      PICO_REQUIRE(duration_s > 0.0, "converter degradation needs a positive window");
       break;
     case FaultKind::kChannelLoss:
       PICO_REQUIRE(magnitude >= 0.0 && magnitude <= 1.0,
@@ -129,7 +131,7 @@ std::string FaultPlan::to_spec() const {
     out += to_string(ev.kind);
     out += '@';
     out += fmt_num(ev.at_s);
-    if (ev.windowed() && ev.duration_s > 0.0) {
+    if (ev.windowed()) {
       out += '~';
       out += fmt_num(ev.duration_s);
     }

@@ -30,8 +30,7 @@ enum class FaultKind : std::uint8_t {
   // multiplier (>= 1). Applied permanently at `at_s`.
   kStorageAging,
   // Converter efficiency degradation: magnitude = efficiency factor in
-  // (0, 1] (battery draw scales by 1/magnitude). Windowed; duration <= 0
-  // means permanent from `at_s`.
+  // (0, 1] (battery draw scales by 1/magnitude). Windowed.
   kConverterDegradation,
   // Radio channel fade: magnitude = per-frame loss probability in [0, 1].
   // Frames still cost their full TX energy; they just never arrive.
@@ -47,7 +46,7 @@ enum class FaultKind : std::uint8_t {
 struct FaultEvent {
   FaultKind kind = FaultKind::kHarvesterDerate;
   double at_s = 0.0;        // absolute start time [s]
-  double duration_s = 0.0;  // window length; <= 0 = permanent (ignored for aging)
+  double duration_s = 0.0;  // window length: > 0 if windowed, 0 for aging
   double magnitude = 0.0;   // kind-specific main knob (see FaultKind)
   double param2 = 1.0;
   double param3 = 1.0;
@@ -55,6 +54,8 @@ struct FaultEvent {
   bool operator==(const FaultEvent&) const = default;
 
   // Validate the event's fields against its kind; throws DesignError.
+  // Every kind but aging is windowed and needs duration_s > 0; aging
+  // needs duration_s == 0, so the spec codec round-trips every field.
   void validate() const;
   [[nodiscard]] bool windowed() const;
 };

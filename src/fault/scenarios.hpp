@@ -7,7 +7,8 @@
 // and assert the same invariants on every one: no energy creation, no
 // negative state of charge, finite waveforms, graceful degradation.
 // Scenario names are stable — they key golden traces under tests/golden/
-// and BENCH_BASELINE.json entries.
+// and the per-scenario pins of the fault_scenarios entry in
+// BENCH_BASELINE.json.
 #pragma once
 
 #include <string>

@@ -531,6 +531,7 @@ void restore_edge_frames(ckpt::Reader& r, std::vector<Domain::EdgeFrame>& v) {
     e.end_s = r.f64();
     e.p_rx_w = r.f64();
     e.node = r.u32();
+    PICO_REQUIRE(e.start_s <= e.end_s, "fleet checkpoint edge frame span is NaN or reversed");
     v.push_back(e);
   }
 }
@@ -577,12 +578,17 @@ void Domain::save(ckpt::Writer& w) const {
   for_each_counter([&w](auto v) { put(w, v); }, c_);
 }
 
-void Domain::restore(ckpt::Reader& r) {
+void Domain::restore(ckpt::Reader& r, double t_s) {
   const std::uint64_t n = r.u64();
   PICO_REQUIRE(n == nodes(),
                "fleet checkpoint domain population does not match the spec layout");
   next_wake_s_ = r.f64v();
   PICO_REQUIRE(next_wake_s_.size() == n, "fleet checkpoint wake array mismatch");
+  // Every wake up to the barrier has fired (retired nodes park at +inf).
+  // An earlier or NaN key would replay — or spin through — covered time.
+  for (const double w : next_wake_s_) {
+    PICO_REQUIRE(w >= t_s, "fleet checkpoint wake lies before its barrier");
+  }
   for (Rng& rng : rng_) rng.set_state(ckpt::read_rng(r));
   seq_ = r.u32v();
   alive_ = r.u8v();
@@ -605,6 +611,8 @@ void Domain::restore(ckpt::Reader& r) {
     f.node = r.u32();
     f.seq = r.u32();
     f.lost = r.b();
+    PICO_REQUIRE(f.node < n, "fleet checkpoint frame names a node outside the domain");
+    PICO_REQUIRE(f.start_s <= f.end_s, "fleet checkpoint frame span is NaN or reversed");
     pending_.push_back(f);
   }
   const std::uint64_t na = r.count(kAirRunBytes);
@@ -616,13 +624,27 @@ void Domain::restore(ckpt::Reader& r) {
     a.end_s = r.f64();
     a.p_rx_w = r.f64();
     a.global_node = r.u32();
+    PICO_REQUIRE(a.start_s <= a.end_s, "fleet checkpoint air record span is NaN or reversed");
     carry_.push_back(a);
   }
   restore_edge_frames(r, outbox_left_);
   restore_edge_frames(r, outbox_right_);
   const bool built = r.b();
   std::vector<std::uint32_t> slots = r.u32v();
-  PICO_REQUIRE(!built || slots.size() <= n, "fleet checkpoint calendar mismatch");
+  // A built calendar is a heap over a permutation of the nodes (retired
+  // ones stay in at +inf); an unbuilt one is empty.
+  PICO_REQUIRE(slots.size() == (built ? n : 0), "fleet checkpoint calendar mismatch");
+  std::vector<std::uint8_t> seen(slots.size(), 0);
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    const std::uint32_t i = slots[k];
+    PICO_REQUIRE(i < n && seen[i] == 0, "fleet checkpoint calendar is not a permutation");
+    seen[i] = 1;
+    const std::uint32_t parent = slots[k == 0 ? 0 : (k - 1) / 2];
+    const double kp = next_wake_s_[parent];
+    const double ki = next_wake_s_[i];
+    PICO_REQUIRE(kp < ki || (kp == ki && parent <= i),
+                 "fleet checkpoint calendar is out of heap order");
+  }
   heap_.restore_slots(std::move(slots), built);
   for_each_counter([&r](auto& v) { get(r, v); }, c_);
   inbox_.clear();

@@ -268,13 +268,16 @@ class Domain {
   // Mutable run state only: timers, RNG cursors, counters, the wake
   // calendar's slot layout, pending/carry air runs and boundary outboxes.
   // The immutable layout (ids, intervals, distances) is rebuilt from the
-  // spec by FleetSession, which calls restore() after add_node — it
-  // validates the node count. Epoch-transient scratch (records_,
+  // spec by FleetSession, which calls restore() after add_node. restore()
+  // throws DesignError on state no barrier at `t_s` could have saved: a
+  // wrong node count, a wake before t_s, an air record with a NaN or
+  // reversed span, a local node index out of range, or a calendar that
+  // is not a heap over every node. Epoch-transient scratch (records_,
   // tx_order_, collision_notes_) is dead at every epoch barrier, the only
   // place checkpoints happen, so it never hits the wire; the inbox is
   // likewise empty (resolve always drains it) and save() asserts so.
   void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void restore(ckpt::Reader& r, double t_s);
 
   [[nodiscard]] std::size_t nodes() const { return interval_s_.size(); }
   [[nodiscard]] const DomainCounters& counters() const { return c_; }

@@ -757,6 +757,18 @@ void FleetSession::Impl::save(ckpt::Writer& w) const {
 void FleetSession::Impl::restore(ckpt::Reader& r) {
   PICO_REQUIRE(!finished, "cannot restore into a finished fleet session");
   restore_failed = true;  // cleared once every section has applied
+  // Decoded state goes through each subsystem's own restore(), which
+  // rejects state no run could have saved. From a blob, that is a
+  // malformed checkpoint like any other.
+  const auto apply = [](auto&& restore_section) {
+    try {
+      restore_section();
+    } catch (const ckpt::CheckpointError&) {
+      throw;
+    } catch (const DesignError& e) {
+      throw ckpt::CheckpointError(e.what());
+    }
+  };
   const auto expect = [&r](const char (&tg)[5], std::uint32_t version) {
     const std::uint32_t got = r.enter_section(ckpt::tag(tg));
     if (got != version) {
@@ -795,24 +807,26 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
   }
   r.leave_section();
 
+  // FENG: the cursors stay in locals until every later section has
+  // validated, so a rejected blob leaves now_s() at its pre-restore value.
   expect("FENG", 1);
-  t = r.f64();
-  epoch_index = r.u32();
-  next_fault = r.u64();
-  prev_sample_t = r.f64();
-  prev_delivered = r.u64();
-  phase.epochs = r.u64();
-  phase.domain_epochs = r.u64();
-  phase.domains_advanced = r.u64();
-  phase.domains_resolved = r.u64();
+  const double saved_t = r.f64();
+  const std::uint32_t saved_epoch_index = r.u32();
+  const std::uint64_t saved_next_fault = r.u64();
+  const double saved_prev_sample_t = r.f64();
+  const std::uint64_t saved_prev_delivered = r.u64();
+  FleetPhaseBreakdown saved_phase;
+  saved_phase.epochs = r.u64();
+  saved_phase.domain_epochs = r.u64();
+  saved_phase.domains_advanced = r.u64();
+  saved_phase.domains_resolved = r.u64();
   r.leave_section();
-  if (!(t >= 0.0 && t <= spec.sim_time_s)) {
+  if (!(saved_t >= 0.0 && saved_t <= spec.sim_time_s)) {
     throw ckpt::CheckpointError("restored sim time is outside [0, sim_time]");
   }
-  if (next_fault > fault_opens.size()) {
+  if (saved_next_fault > fault_opens.size()) {
     throw ckpt::CheckpointError("restored fault cursor exceeds the fault plan");
   }
-  for (ShardStat& st : shard_stats) st = ShardStat{};
 
   expect("FDOM", 2);
   const std::uint64_t n_doms = r.u64();
@@ -821,7 +835,9 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
                                 " domains; the spec lays out " +
                                 std::to_string(domains.size()));
   }
-  for (Domain& dom : domains) dom.restore(r);
+  apply([&] {
+    for (Domain& dom : domains) dom.restore(r, saved_t);
+  });
   r.leave_section();
 
   // Re-derive the dense active-set index: each answer is a pure function
@@ -836,7 +852,7 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
 
   if constexpr (obs::kEnabled) {
     if (hooks.series != nullptr) {
-      hooks.series->restore(ckpt::read_series(r));
+      apply([&] { hooks.series->restore(ckpt::read_series(r)); });
     }
     if (hooks.flight != nullptr) {
       obs::FlightRecorder::CheckpointState st = ckpt::read_flight(r);
@@ -845,7 +861,7 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
             "flight checkpoint holds " + std::to_string(st.rings.size()) +
             " rings; this fleet needs " + std::to_string(n_domains + 1));
       }
-      hooks.flight->restore(st);
+      apply([&] { hooks.flight->restore(st); });
       // restore() rebuilt the ring objects — re-cache the per-domain
       // pointers or the epoch loop would write through dangling ones.
       for (std::size_t d = 0; d < n_domains; ++d) {
@@ -857,6 +873,16 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
   if (!r.at_end()) {
     throw ckpt::CheckpointError("trailing bytes after fleet checkpoint");
   }
+  t = saved_t;
+  epoch_index = saved_epoch_index;
+  next_fault = saved_next_fault;
+  prev_sample_t = saved_prev_sample_t;
+  prev_delivered = saved_prev_delivered;
+  phase.epochs = saved_phase.epochs;
+  phase.domain_epochs = saved_phase.domain_epochs;
+  phase.domains_advanced = saved_phase.domains_advanced;
+  phase.domains_resolved = saved_phase.domains_resolved;
+  for (ShardStat& st : shard_stats) st = ShardStat{};
   restore_failed = false;
 }
 

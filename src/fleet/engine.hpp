@@ -241,8 +241,10 @@ class FleetSession {
   // --- Checkpoint/restore (src/ckpt) -----------------------------------------
   [[nodiscard]] std::vector<std::uint8_t> save() const;
   void save_file(const std::string& path) const;
-  // A restore that throws leaves the session unusable: run_until(),
-  // finish() and save() then throw until a later restore succeeds.
+  // Malformed or mismatched blobs, and decoded state no barrier could
+  // have saved, throw ckpt::CheckpointError. A restore that throws leaves
+  // the session unusable: run_until(), finish() and save() then throw
+  // until a later restore succeeds. now_s() keeps its pre-restore value.
   void restore(const std::vector<std::uint8_t>& blob);
   void restore_file(const std::string& path);
 

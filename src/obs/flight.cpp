@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -58,6 +59,10 @@ void FlightRing::restore(const std::vector<FlightEvent>& retained, std::uint64_t
                "flight checkpoint retains more events than ring capacity");
   PICO_REQUIRE(retained.size() == std::min<std::uint64_t>(recorded, buf_.size()),
                "flight checkpoint retained/recorded counts disagree");
+  // merged() sorts by time: a NaN would break its ordering.
+  for (const FlightEvent& ev : retained) {
+    PICO_REQUIRE(!std::isnan(ev.t_s), "flight checkpoint event time is NaN");
+  }
   // Lay the retained events out from slot 0; head_ then points at the slot
   // holding the oldest event (wrapped) or the first free slot (unwrapped) —
   // in both cases the next push lands where the original ring's would.
@@ -137,7 +142,10 @@ FlightRecorder::CheckpointState FlightRecorder::checkpoint_state() const {
 }
 
 void FlightRecorder::restore(const CheckpointState& st) {
-  PICO_REQUIRE(st.ring_capacity >= 1, "flight checkpoint has zero ring capacity");
+  // The rings are allocated at this recorder's own capacity: a blob must
+  // not size them.
+  PICO_REQUIRE(st.ring_capacity == ring_capacity_,
+               "flight checkpoint was saved under another ring capacity");
   PICO_REQUIRE(!st.rings.empty(), "flight checkpoint has no rings");
   PICO_REQUIRE(st.storm_count >= 2 && st.storm_window_s > 0.0,
                "flight checkpoint has invalid storm threshold");
@@ -145,7 +153,6 @@ void FlightRecorder::restore(const CheckpointState& st) {
                "flight checkpoint storm window length mismatch");
   PICO_REQUIRE(st.storm_head < st.storm_count,
                "flight checkpoint storm cursor out of range");
-  ring_capacity_ = static_cast<std::size_t>(st.ring_capacity);
   rings_.clear();
   configure_rings(st.rings.size());
   for (std::size_t i = 0; i < st.rings.size(); ++i) {

@@ -149,6 +149,9 @@ class FlightRecorder {
     std::vector<Ring> rings;
   };
   [[nodiscard]] CheckpointState checkpoint_state() const;
+  // Replace the rings and storm state; the recorder must have been built
+  // with the saved ring capacity. Throws DesignError on a state no
+  // recorder could have saved.
   void restore(const CheckpointState& st);
 
  private:

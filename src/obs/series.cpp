@@ -115,30 +115,44 @@ TimeSeriesRecorder::CheckpointState TimeSeriesRecorder::checkpoint_state() const
 
 void TimeSeriesRecorder::restore(const CheckpointState& st) {
   PICO_REQUIRE(!row_open_, "cannot restore a series recorder mid-row");
-  PICO_REQUIRE(st.dt0_s > 0.0 && st.dt_s >= st.dt0_s,
-               "series checkpoint has invalid cadence");
-  PICO_REQUIRE(st.max_rows >= 4, "series checkpoint row cap must be at least 4");
+  // Only a state this recorder could have saved: its own cadence, row cap
+  // and columns, the current cadence exactly dt0 * 2^decimations, fewer
+  // rows than the cap, and a finite, ordered time axis ahead of which
+  // next_t lies. (A next_t far behind the rows would make commit_row()
+  // step the grid forward for ever.)
+  PICO_REQUIRE(st.dt0_s == dt0_ && st.max_rows == cap_,
+               "series checkpoint was saved under another cadence or row cap");
+  PICO_REQUIRE(st.decimations < 64 &&
+                   st.dt_s == std::ldexp(st.dt0_s, static_cast<int>(st.decimations)),
+               "series checkpoint cadence is not dt0 * 2^decimations");
   PICO_REQUIRE(st.names.size() == st.cols.size(),
                "series checkpoint column/name count mismatch");
-  for (const auto& col : st.cols) {
-    PICO_REQUIRE(col.size() == st.t.size(),
+  PICO_REQUIRE(st.names.size() == cols_.size(),
+               "series checkpoint holds other series than this recorder");
+  for (std::size_t i = 0; i < cols_.size(); ++i) {
+    PICO_REQUIRE(st.names[i] == cols_[i].name,
+                 "series checkpoint holds other series than this recorder");
+    PICO_REQUIRE(st.cols[i].size() == st.t.size(),
                  "series checkpoint column length mismatch");
   }
-  dt0_ = st.dt0_s;
+  PICO_REQUIRE(st.t.size() < st.max_rows, "series checkpoint exceeds its row cap");
+  double prev_t = 0.0;
+  for (const double t : st.t) {
+    PICO_REQUIRE(t >= prev_t && std::isfinite(t),
+                 "series checkpoint times must be finite, >= 0 and ordered");
+    prev_t = t;
+  }
+  PICO_REQUIRE(std::isfinite(st.next_t_s) &&
+                   (st.t.empty() ? st.next_t_s >= 0.0 : st.next_t_s > st.t.back()),
+               "series checkpoint sample cursor is out of range");
   dt_ = st.dt_s;  // the decimated cadence, not dt0 — see CheckpointState
   next_t_ = st.next_t_s;
-  cap_ = static_cast<std::size_t>(st.max_rows);
   decimations_ = static_cast<std::size_t>(st.decimations);
   t_ = st.t;
   t_.reserve(cap_);
-  cols_.clear();
-  cols_.reserve(st.names.size());
-  for (std::size_t i = 0; i < st.names.size(); ++i) {
-    Column c;
-    c.name = st.names[i];
-    c.v = st.cols[i];
-    c.v.reserve(cap_);
-    cols_.push_back(std::move(c));
+  for (std::size_t i = 0; i < cols_.size(); ++i) {
+    cols_[i].v = st.cols[i];
+    cols_[i].v.reserve(cap_);
   }
 }
 

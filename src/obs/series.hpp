@@ -93,7 +93,9 @@ class TimeSeriesRecorder {
     std::vector<std::vector<double>> cols;  // one per name, all t.size() long
   };
   [[nodiscard]] CheckpointState checkpoint_state() const;
-  // Replace this recorder's contents wholesale (no row may be open).
+  // Replace this recorder's rows and cadence state (no row may be open).
+  // The recorder must have the saved dt0, row cap and series; throws
+  // DesignError on a state no recorder could have saved.
   void restore(const CheckpointState& st);
 
   // --- Export ----------------------------------------------------------------

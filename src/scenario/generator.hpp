@@ -9,7 +9,7 @@
 // corpus is reproducible on any machine and any scenario can be re-run in
 // isolation from its (seed, index) pair alone. The draw record travels as
 // a key = value manifest (RunManifest idiom), which tools/soak_runner.py
-// writes next to the run artifacts so a breached envelope names the exact
+// writes next to the run artifacts so a diverging resume names the exact
 // parameters to replay.
 //
 // The stop-and-go fault texture follows the battery-less-node soak idea

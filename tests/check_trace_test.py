@@ -8,6 +8,7 @@ small synthesized trace CSVs — no bench binary involved:
   the explicit missing-golden diagnosis, which must name --update).
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,15 @@ class CheckTraceTest(unittest.TestCase):
         self.assertEqual(rc, 1, out)
         self.assertIn("v_cap", out)
         self.assertIn("row 3", out)
+
+    def test_one_ulp_divergence_exits_one(self):
+        with open(self.golden, "w") as f:
+            f.write(TRACE)
+        with open(self.current, "w") as f:
+            f.write(TRACE.replace("0.99", repr(math.nextafter(0.99, 1.0))))
+        rc, out = run_tool("--current", self.current, "--golden", self.golden)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("v_cap", out)
 
     def test_structural_mismatch_exits_two(self):
         with open(self.golden, "w") as f:

@@ -254,6 +254,65 @@ fleet::FleetSpec retirement_spec() {
   return spec;
 }
 
+// Container framing (src/ckpt/codec.hpp): a 16-byte header (magic,
+// format version, payload length), sections with a 16-byte header (tag,
+// version, payload length), and a trailing 8-byte FNV-1a digest.
+constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kSectionHeaderBytes = 16;
+constexpr std::size_t kDigestBytes = 8;
+
+std::uint64_t get_le64(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) v |= std::uint64_t{b[at + i]} << (8 * i);
+  return v;
+}
+
+void put_le64(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// Seal header + payload bytes into a blob the container accepts: patch
+// the payload length and append the digest, so a mutant reaches the
+// section decoders instead of the container's own integrity checks.
+std::vector<std::uint8_t> seal(std::vector<std::uint8_t> body) {
+  put_le64(body, 8, body.size() - kHeaderBytes);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : body) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  }
+  body.resize(body.size() + kDigestBytes);
+  put_le64(body, body.size() - kDigestBytes, h);
+  return body;
+}
+
+std::vector<std::uint8_t> body_of(const std::vector<std::uint8_t>& blob) {
+  return {blob.begin(), blob.end() - static_cast<std::ptrdiff_t>(kDigestBytes)};
+}
+
+// Offsets of every section start, then the end of the payload.
+std::vector<std::size_t> section_bounds(const std::vector<std::uint8_t>& blob) {
+  std::vector<std::size_t> at;
+  std::size_t pos = kHeaderBytes;
+  while (pos < blob.size() - kDigestBytes) {
+    at.push_back(pos);
+    pos += kSectionHeaderBytes + get_le64(blob, pos + 8);
+  }
+  at.push_back(pos);
+  return at;
+}
+
+// Run to the first epoch barrier at or after t_s and save there; the
+// barrier reached is reported through saved_t_s.
+std::vector<std::uint8_t> save_at(const fleet::FleetSpec& spec, double t_s,
+                                  double* saved_t_s = nullptr) {
+  Obs o;
+  fleet::FleetSession s(spec, o.hooks());
+  s.run_until(t_s);
+  if (saved_t_s != nullptr) *saved_t_s = s.now_s();
+  return s.save();
+}
+
 }  // namespace
 
 // Regression for the retirement path: a session saved after nodes have
@@ -323,46 +382,40 @@ TEST(FleetCheckpointTest, RestoredSessionResavesByteIdentical) {
 }
 
 // A blob that passes FSPC and FENG but is rejected in FDOM has already
-// moved the session's cursors to the saved time. Running on would silently
-// skip everything before it, so the session must refuse to run or save
-// until a restore succeeds — and then resume exactly.
+// overwritten domain state. Running on would mix two runs, so the session
+// must refuse to run or save until a restore succeeds — and then resume
+// exactly. The FENG cursors wait for every section, so now_s() does not
+// move on a rejected restore.
 TEST(FleetCheckpointTest, RejectedRestoreLeavesSessionUnusable) {
   const fleet::FleetSpec spec = retirement_spec();
   Obs base_o;
   fleet::FleetSession base_s(spec, base_o.hooks());
   const RunResult want = collect(base_o, base_s.finish());
 
-  std::vector<std::uint8_t> blob;
-  {
-    Obs o;
-    fleet::FleetSession s(spec, o.hooks());
-    s.run_until(120.0);
-    blob = s.save();
-  }
-  // Bump FDOM's domain count (the u64 after its tag, version and length)
-  // and re-seal the trailing FNV-1a digest so only the count check fires.
+  double saved_t = 0.0;
+  const std::vector<std::uint8_t> blob = save_at(spec, 120.0, &saved_t);
+  // Bump FDOM's domain count (the u64 after its section header) and
+  // re-seal so only the count check fires.
   const std::vector<std::uint8_t> fdom = {'F', 'D', 'O', 'M'};
   const auto at = std::search(blob.begin(), blob.end(), fdom.begin(), fdom.end());
   ASSERT_NE(at, blob.end());
-  std::vector<std::uint8_t> bad = blob;
-  ++bad[static_cast<std::size_t>(at - blob.begin()) + 4 + 4 + 8];
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i + 8 < bad.size(); ++i) {
-    h ^= bad[i];
-    h *= 0x100000001b3ULL;
-  }
-  for (std::size_t i = 0; i < 8; ++i) {
-    bad[bad.size() - 8 + i] = static_cast<std::uint8_t>(h >> (8 * i));
-  }
+  std::vector<std::uint8_t> body = body_of(blob);
+  ++body[static_cast<std::size_t>(at - blob.begin()) + kSectionHeaderBytes];
+  const std::vector<std::uint8_t> bad = seal(std::move(body));
 
   Obs o;
   fleet::FleetSession s(spec, o.hooks());
+  s.run_until(48.0);
+  const double before = s.now_s();
+  ASSERT_GT(before, 0.0);
   try {
     s.restore(bad);
     FAIL() << "a domain-count mismatch must be rejected";
   } catch (const ckpt::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("domains"), std::string::npos) << e.what();
   }
+  // FENG had already validated, but its cursors wait for every section.
+  EXPECT_EQ(s.now_s(), before);
   for (const auto& use : {+[](fleet::FleetSession& f) { f.run_until(240.0); },
                           +[](fleet::FleetSession& f) { (void)f.finish(); },
                           +[](fleet::FleetSession& f) { (void)f.save(); }}) {
@@ -375,7 +428,93 @@ TEST(FleetCheckpointTest, RejectedRestoreLeavesSessionUnusable) {
     }
   }
   s.restore(blob);
+  EXPECT_EQ(s.now_s(), saved_t);
   EXPECT_TRUE(equal(want, collect(o, s.finish())));
+}
+
+// Seeded mutation of a real fleet blob (series and flight hooks, dead
+// nodes, ARQ counters): truncation at every section boundary, splices
+// with a blob of another seed, and single-byte flips. Truncations come
+// raw and re-sealed; splices and flips are re-sealed so they get past the
+// digest to the section decoders. Each mutant must either be rejected
+// with CheckpointError or restore into a session that runs to the horizon;
+// any other exception, or a crash under asan, is a decoder bug.
+TEST(FleetCheckpointTest, ContainerSurvivesSeededMutation) {
+  const fleet::FleetSpec spec = retirement_spec();
+  fleet::FleetSpec other_spec = spec;
+  other_spec.seed = spec.seed + 1;
+  const std::vector<std::uint8_t> blob = save_at(spec, 48.0);
+  const std::vector<std::uint8_t> other = save_at(other_spec, 48.0);
+  const std::vector<std::size_t> bounds = section_bounds(blob);
+  const std::vector<std::size_t> other_bounds = section_bounds(other);
+  ASSERT_EQ(bounds.size(), other_bounds.size());
+  ASSERT_GE(bounds.size(), 6u) << "FSPC FENG FDOM SERS FLIT, then the end";
+
+  struct Mutant {
+    std::string label;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Mutant> mutants;
+  const auto prefix = [](const std::vector<std::uint8_t>& b, std::size_t n) {
+    return std::vector<std::uint8_t>(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+    // Cut before a section, and between its header and its payload: raw
+    // (the container must notice) and re-sealed (the decoders must).
+    for (const std::size_t cut : {bounds[k], bounds[k] + kSectionHeaderBytes}) {
+      mutants.push_back({"truncate@" + std::to_string(cut), prefix(blob, cut)});
+      mutants.push_back({"truncate+seal@" + std::to_string(cut), seal(prefix(blob, cut))});
+    }
+    // Sections [0, k) of this blob, the rest from the other seed's.
+    std::vector<std::uint8_t> spliced = prefix(blob, bounds[k]);
+    spliced.insert(spliced.end(),
+                   other.begin() + static_cast<std::ptrdiff_t>(other_bounds[k]),
+                   other.end() - static_cast<std::ptrdiff_t>(kDigestBytes));
+    mutants.push_back({"splice@section" + std::to_string(k), seal(std::move(spliced))});
+  }
+  Rng rng(0xc4ec);
+  const std::size_t body_bytes = blob.size() - kDigestBytes;
+  for (int i = 0; i < 60; ++i) {
+    const std::size_t from = rng.below(body_bytes + 1);
+    const std::size_t to = rng.below(other.size() - kDigestBytes + 1);
+    std::vector<std::uint8_t> spliced = prefix(blob, from);
+    spliced.insert(spliced.end(), other.begin() + static_cast<std::ptrdiff_t>(to),
+                   other.end() - static_cast<std::ptrdiff_t>(kDigestBytes));
+    if (spliced.size() < kHeaderBytes) continue;
+    mutants.push_back({"splice@" + std::to_string(from) + "+" + std::to_string(to),
+                       seal(std::move(spliced))});
+  }
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::uint8_t> body = body_of(blob);
+    // Half the flips land in a section header or the first bytes of a
+    // payload, where lengths, versions and element counts live.
+    const std::size_t at =
+        rng.chance(0.5) ? bounds[rng.below(bounds.size() - 1)] + rng.below(24)
+                        : rng.below(body_bytes);
+    body[at] = static_cast<std::uint8_t>(body[at] ^ (1u + rng.below(255)));
+    mutants.push_back({"flip@" + std::to_string(at), seal(std::move(body))});
+  }
+
+  std::size_t rejected = 0;
+  std::size_t ran = 0;
+  for (const Mutant& m : mutants) {
+    try {
+      Obs o;
+      fleet::FleetSession s(spec, o.hooks());
+      try {
+        s.restore(m.bytes);
+      } catch (const ckpt::CheckpointError&) {
+        ++rejected;
+        continue;
+      }
+      (void)s.finish();
+      ++ran;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << m.label << " escaped: " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(ran, 0u);
 }
 
 // The FDOM/FSPC/FENG/SERS/FLIT bytes of one fixed save, pinned: size and

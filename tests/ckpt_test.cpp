@@ -201,7 +201,7 @@ void expect_domain_restore_rejects(int zero_counts) {
   fleet::Domain d;
   d.add_node(0, 10.0, 1.0, Rng(1), 10.0, -1.0, -1.0);
   ckpt::Reader r(domain_blob_inflating(zero_counts));
-  EXPECT_THROW(d.restore(r), ckpt::CheckpointError);
+  EXPECT_THROW(d.restore(r, 0.0), ckpt::CheckpointError);
 }
 
 // A FLIT section with no storm history, up to its ring count.

@@ -26,6 +26,9 @@ TEST(FaultPlan, BuildersValidateEagerly) {
   EXPECT_THROW(plan.storage_aging(0.0, 0.0, 1.0, 1.0), DesignError);  // capacity 0
   EXPECT_THROW(plan.storage_aging(0.0, 0.5, 0.5, 1.0), DesignError);  // R mult < 1
   EXPECT_THROW(plan.converter_degradation(0.0, 5.0, 0.0), DesignError);
+  EXPECT_THROW(plan.converter_degradation(0.0, 0.0, 0.9), DesignError);  // no window
+  EXPECT_THROW(plan.add({fault::FaultKind::kStorageAging, 0.0, 10.0, 0.5, 1.0, 1.0}),
+               DesignError);  // aging takes no window
   EXPECT_THROW(plan.channel_loss(0.0, 5.0, 1.5), DesignError);
   EXPECT_THROW(plan.supply_glitch(0.0, 5.0, -1e-3), DesignError);
   EXPECT_THROW(plan.harvester_dropout(-1.0, 5.0), DesignError);  // negative start
@@ -72,10 +75,11 @@ TEST(FaultPlan, RandomizedIsDeterministicInTheStream) {
 }
 
 // Every mutant of a named scenario's spec either throws DesignError (the
-// PICO_REQUIRE contract of parse) or parses to a plan whose spec is a
-// round-trip fixed point. Any other exception, or a crash under asan, is a
-// decoder bug. Mutants: every truncation, every doubled separator, and
-// seeded splices and byte flips.
+// PICO_REQUIRE contract of parse) or parses to a plan p with
+// parse(to_spec(p)) == p field by field, so the spec a checkpoint or
+// manifest records names exactly one plan. Any other exception, or a
+// crash under asan, is a decoder bug. Mutants: every truncation, every
+// doubled separator, and seeded splices and byte flips.
 TEST(FaultPlan, ParseSurvivesSeededMutation) {
   std::vector<std::string> specs;
   for (const fault::Scenario& sc : fault::scenario_library()) {
@@ -107,6 +111,10 @@ TEST(FaultPlan, ParseSurvivesSeededMutation) {
     }
   }
 
+  // A window on aging would vanish from the re-saved spec, so parse rejects it.
+  mutants.push_back("sage@10~100=0.7;cvt@30~60=0.7");
+  EXPECT_THROW((void)fault::FaultPlan::parse(mutants.back()), DesignError);
+
   std::size_t parsed = 0;
   for (const std::string& m : mutants) {
     try {
@@ -114,6 +122,8 @@ TEST(FaultPlan, ParseSurvivesSeededMutation) {
       const std::string spec = plan.to_spec();
       const fault::FaultPlan again = fault::FaultPlan::parse(spec);
       EXPECT_EQ(again.to_spec(), spec) << "mutant '" << m << "'";
+      // FaultEvent's defaulted == compares every field.
+      EXPECT_TRUE(again == plan) << "mutant '" << m << "' re-parses as '" << spec << "'";
       ++parsed;
     } catch (const DesignError&) {
       // The documented rejection.
@@ -198,17 +208,15 @@ TEST(FaultInjector, ConverterDerateIsInverseEfficiency) {
 TEST(FaultInjector, PermanentEventsNeverClose) {
   sim::Simulator sim;
   fault::FaultPlan plan;
-  plan.converter_degradation(1.0, 0.0, 0.9);  // duration <= 0: permanent
-  plan.storage_aging(2.0, 0.8, 1.5, 2.0);
+  plan.storage_aging(2.0, 0.8, 1.5, 2.0);  // aging is the one permanent kind
   HookLog log;
   fault::FaultInjector inj(sim, plan, log.hooks());
   inj.arm();
   sim.run_until(Duration{100.0});
-  EXPECT_EQ(log.converter.size(), 1u);
   EXPECT_EQ(log.agings, 1);
-  EXPECT_EQ(inj.counters().events_fired, 2u);
+  EXPECT_EQ(inj.counters().events_fired, 1u);
   EXPECT_EQ(inj.counters().windows_closed, 0u);
-  EXPECT_EQ(inj.active_windows(), 1u);  // the permanent converter window
+  EXPECT_EQ(inj.active_windows(), 0u);
 }
 
 TEST(FaultInjector, CountersAndLabels) {

@@ -1,45 +1,37 @@
 #!/usr/bin/env python3
-"""Diff a bench's --json output against the checked-in BENCH_BASELINE.json.
+"""Compare a bench's --json report exactly with its BENCH_BASELINE.json pins.
 
-Two JSON shapes are understood:
-
-* google-benchmark output (bench_engine_perf): the ``benchmarks`` array;
-  every entry with an ``items_per_second`` field becomes a tracked value.
-* the shared bench_util.hpp BenchIo format: ``metrics`` entries plus the
-  numeric ``checks`` rows (keyed ``check:<claim>``).
-
-The baseline file maps entry names to::
+A bench writes the bench_util.hpp BenchIo report: its ``metrics`` plus the
+numeric ``checks`` rows (keyed ``check:<claim>``). The baseline file pins
+every such value per entry::
 
     {
-      "engine_perf": {
-        "tolerance": 0.50,
-        "values": {"BM_MnaTransientRc/10000": 1.23e7, ...}
+      "avg_power": {
+        "values": {"avg_power_w": 6.611571900133513e-06, ...}
       },
       ...
     }
 
-A value diverges when ``|current - baseline| / |baseline|`` exceeds the
-tolerance (per-entry, overridable with --tolerance). Perf numbers are
-machine-relative, so baselines only make sense against a baseline recorded
-on the same class of machine — keep tolerances generous.
+The benches are deterministic, so a pinned value either reproduces bit for
+bit or the model changed: values are compared with ``==``. A pinned key the
+run lacks (MISSING) fails, and so does a reported key without a pin (NEW),
+which keeps machine-dependent rates out of the file; perfbench/ measures
+throughput.
 
 Usage:
-    check_bench.py --bench ./bench_engine_perf --baseline BENCH_BASELINE.json \
-        --name engine_perf [--tolerance 0.5] [--update]
-    check_bench.py --current BENCH_storage.json --baseline ... --name storage
+    check_bench.py --bench build/bench/bench_avg_power \
+        --baseline BENCH_BASELINE.json --name avg_power [--update]
     check_bench.py --validate-series out/run.series.jsonl
 
---update rewrites the named entry from the current run instead of checking;
---record-missing records it only when the entry does not exist yet. Without
-either flag the baseline file is never written: keys the run reports but the
-baseline lacks are listed as NEW and do not change the verdict.
+--update re-pins the named entry from this run and leaves every other
+entry alone; without it the baseline file is never written.
 --validate-series is a standalone mode: it checks a telemetry-series JSONL
 file (one object per sample row) for schema sanity — numeric strictly
 increasing ``t_s``, one consistent key set across rows, every value numeric
 or null — and ignores the baseline arguments.
-Exit code: 0 on success, 1 on divergence, missing values or a non-zero bench
-exit (a bench exits with its count of failed checks; nothing is diffed or
-recorded from such a run), 2 on usage error.
+Exit code: 0 when every pin reproduces, 1 on a differing, missing or new
+value or a non-zero bench exit (a bench exits with its count of failed
+checks; nothing is compared or pinned from such a run), 2 on usage error.
 """
 
 import argparse
@@ -49,37 +41,14 @@ import subprocess
 import sys
 import tempfile
 
-DEFAULT_TOLERANCE = 0.50
-
 
 def extract_values(doc):
-    """Flatten either recognized JSON shape into {key: float}."""
-    values = {}
-    if "benchmarks" in doc:  # google-benchmark
-        for b in doc["benchmarks"]:
-            if b.get("run_type") == "aggregate":
-                continue
-            if "items_per_second" in b:
-                values[b["name"]] = float(b["items_per_second"])
-    elif "metrics" in doc or "checks" in doc:  # bench_util BenchIo
-        for key, val in doc.get("metrics", {}).items():
-            values[key] = float(val)
-        for row in doc.get("checks", []):
-            if "measured" in row:
-                values["check:" + row["claim"]] = float(row["measured"])
-    else:
-        raise ValueError("unrecognized bench JSON shape (no benchmarks/metrics/checks)")
+    """Flatten a BenchIo report into {key: number}."""
+    values = {key: float(val) for key, val in doc.get("metrics", {}).items()}
+    for row in doc.get("checks", []):
+        if "measured" in row:
+            values["check:" + row["claim"]] = float(row["measured"])
     return values
-
-
-def record_entry(baseline, path, name, current, tolerance):
-    """Set baseline[name]'s values to this run's and write the file."""
-    entry = baseline.setdefault(name, {})
-    entry.setdefault("tolerance", tolerance or DEFAULT_TOLERANCE)
-    entry["values"] = current
-    with open(path, "w") as f:
-        json.dump(baseline, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def run_bench(binary):
@@ -101,6 +70,22 @@ def run_bench(binary):
             return json.load(f)
     finally:
         os.unlink(path)
+
+
+def compare(pins, current):
+    """Print every pin that does not reproduce; returns the failure count."""
+    failures = 0
+    for key in sorted(set(pins) | set(current)):
+        if key not in current:
+            print(f"MISSING   {key}: pinned {pins[key]!r}, not reported")
+        elif key not in pins:
+            print(f"NEW       {key}: {current[key]!r} has no pin")
+        elif current[key] != pins[key]:
+            print(f"DIFFERS   {key}: pinned {pins[key]!r}, got {current[key]!r}")
+        else:
+            continue
+        failures += 1
+    return failures
 
 
 def validate_series(path):
@@ -158,43 +143,27 @@ def validate_series(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    src = ap.add_mutually_exclusive_group()
-    src.add_argument("--bench", help="bench binary to run with --json")
-    src.add_argument("--current", help="already-written bench JSON report")
-    ap.add_argument("--validate-series", metavar="JSONL",
-                    help="standalone mode: schema-check a series JSONL export")
+    ap.add_argument("--bench", help="bench binary to run with --json")
     ap.add_argument("--baseline", help="BENCH_BASELINE.json path")
     ap.add_argument("--name", help="baseline entry name")
-    ap.add_argument("--tolerance", type=float, default=None,
-                    help="relative tolerance override (default: entry's, else %.2f)"
-                         % DEFAULT_TOLERANCE)
     ap.add_argument("--update", action="store_true",
-                    help="rewrite the baseline entry from this run")
-    ap.add_argument("--record-missing", action="store_true",
-                    help="if the baseline entry does not exist yet, record it "
-                         "from this run and exit 0 (first-run bootstrap)")
+                    help="re-pin the named entry from this run")
+    ap.add_argument("--validate-series", metavar="JSONL",
+                    help="standalone mode: schema-check a series JSONL export")
     args = ap.parse_args()
 
     if args.validate_series:
         return 1 if validate_series(args.validate_series) else 0
-    if not (args.bench or args.current) or not args.baseline or not args.name:
-        ap.error("--bench/--current, --baseline and --name are required "
+    if not (args.bench and args.baseline and args.name):
+        ap.error("--bench, --baseline and --name are required "
                  "unless --validate-series is used")
 
-    if args.bench:
-        doc = run_bench(args.bench)
-        if doc is None:
-            return 1
-    else:
-        with open(args.current) as f:
-            doc = json.load(f)
-    try:
-        current = extract_values(doc)
-    except ValueError as e:
-        print(f"error: {e}")
-        return 2
+    doc = run_bench(args.bench)
+    if doc is None:
+        return 1
+    current = extract_values(doc)
     if not current:
-        print("error: no numeric values found in bench output")
+        print("error: the bench reported no values")
         return 2
 
     baseline = {}
@@ -203,54 +172,23 @@ def main():
             baseline = json.load(f)
 
     if args.update:
-        record_entry(baseline, args.baseline, args.name, current, args.tolerance)
-        print(f"updated '{args.name}' in {args.baseline} ({len(current)} values)")
+        baseline[args.name] = {"values": current}
+        with open(args.baseline, "w") as f:
+            json.dump(baseline, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"pinned {len(current)} value(s) as '{args.name}' in {args.baseline}")
         return 0
 
     if args.name not in baseline:
-        if args.record_missing:
-            record_entry(baseline, args.baseline, args.name, current, args.tolerance)
-            print(f"warning: no baseline entry '{args.name}' — recorded "
-                  f"{len(current)} value(s) from this run")
-            return 0
-        print(f"error: no baseline entry '{args.name}' in {args.baseline} "
-              f"(run with --update to record one)")
+        print(f"error: no entry '{args.name}' in {args.baseline} "
+              f"(run with --update to pin one)")
         return 1
-    entry = baseline[args.name]
-    tolerance = args.tolerance if args.tolerance is not None \
-        else entry.get("tolerance", DEFAULT_TOLERANCE)
-
-    failures = 0
-    for key, base_val in sorted(entry["values"].items()):
-        if key not in current:
-            print(f"MISSING   {key} (baseline {base_val:g})")
-            failures += 1
-            continue
-        cur = current[key]
-        if base_val == 0.0:
-            rel = abs(cur)
-            ok = cur == 0.0
-        else:
-            rel = abs(cur - base_val) / abs(base_val)
-            ok = rel <= tolerance
-        status = "ok      " if ok else "DIVERGES"
-        print(f"{status}  {key}: baseline {base_val:g}, current {cur:g} "
-              f"(rel {rel:.1%}, tol {tolerance:.0%})")
-        if not ok:
-            failures += 1
-
-    # Keys present in the run but absent from the baseline are new metrics
-    # (a bench gained a counter): list them, rather than failing — only
-    # divergence and disappearance are errors. A check never writes the
-    # baseline; --update records them.
-    new_keys = sorted(set(current) - set(entry["values"]))
-    for key in new_keys:
-        print(f"NEW       {key}: {current[key]:g} (not in baseline; --update records it)")
-
+    pins = baseline[args.name]["values"]
+    failures = compare(pins, current)
     if failures:
-        print(f"\n{failures} value(s) outside tolerance for '{args.name}'")
+        print(f"\n{failures} value(s) do not reproduce the pins of '{args.name}'")
         return 1
-    print(f"\nall {len(entry['values'])} value(s) within tolerance for '{args.name}'")
+    print(f"all {len(pins)} pinned value(s) of '{args.name}' reproduce exactly")
     return 0
 
 

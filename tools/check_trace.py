@@ -6,10 +6,10 @@ uniform time grid) for the canonical fault scenarios, written by::
 
     bench_fault_scenarios --scenario=<name> --trace=<path>
 
-A sample diverges when ``|cur - gold| > atol + rtol * |gold|``. On
-divergence the first offending (row, channel) pair is printed with both
-values, so a regression bisects to a timestamp instead of "the file
-differs". Structural mismatches (channel set, row count, time grid) are
+The scenarios are deterministic, so every sample must equal its golden
+value exactly. On divergence the first offending (row, channel) pair is
+printed with both values, so a regression bisects to a timestamp instead
+of "the file differs". Structural mismatches (channel set, row count, time grid) are
 reported before any value diff.
 
 Usage:
@@ -28,9 +28,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-
-DEFAULT_RTOL = 1e-6
-DEFAULT_ATOL = 1e-12
 
 
 def read_trace(path):
@@ -62,7 +59,7 @@ def run_bench(binary, scenario, out_path):
         raise ValueError(f"bench did not write {out_path}")
 
 
-def diff(golden, current, rtol, atol):
+def diff(golden, current):
     """Return (failures, first_message). Compares structure then samples."""
     g_header, g_rows = golden
     c_header, c_rows = current
@@ -76,15 +73,12 @@ def diff(golden, current, rtol, atol):
     first = None
     for i, (g_row, c_row) in enumerate(zip(g_rows, c_rows)):
         for j, (g, c) in enumerate(zip(g_row, c_row)):
-            # The time column is part of the grid contract: exact match.
-            tol = 0.0 if j == 0 else atol + rtol * abs(g)
-            if abs(c - g) > tol:
+            if c != g:
                 failures += 1
                 if first is None:
                     first = (f"first divergence at row {i + 2} "
                              f"(t = {g_row[0]:.6g} s), channel "
-                             f"'{g_header[j]}': golden {g:.17g}, current {c:.17g}, "
-                             f"|diff| {abs(c - g):.3g} > tol {tol:.3g}")
+                             f"'{g_header[j]}': golden {g:.17g}, current {c:.17g}")
     return failures, first
 
 
@@ -95,8 +89,6 @@ def main():
     src.add_argument("--current", help="already-written trace CSV")
     ap.add_argument("--scenario", help="scenario name (required with --bench)")
     ap.add_argument("--golden", required=True, help="golden trace CSV path")
-    ap.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-    ap.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     ap.add_argument("--update", action="store_true",
                     help="rewrite the golden from this run")
     args = ap.parse_args()
@@ -138,16 +130,14 @@ def main():
         if tmp is not None:
             os.unlink(tmp)
 
-    failures, first = diff(golden, current, args.rtol, args.atol)
+    failures, first = diff(golden, current)
     header, rows = golden
     total = len(rows) * len(header)
     if failures:
         print(first)
-        print(f"\n{failures}/{total} sample(s) outside tolerance "
-              f"(rtol {args.rtol:g}, atol {args.atol:g}) vs {args.golden}")
+        print(f"\n{failures}/{total} sample(s) differ from {args.golden}")
         return 1
-    print(f"all {total} samples match {args.golden} "
-          f"(rtol {args.rtol:g}, atol {args.atol:g})")
+    print(f"all {total} samples match {args.golden} exactly")
     return 0
 
 

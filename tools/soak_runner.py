@@ -14,21 +14,19 @@ way a real power failure would interleave them:
 It then requires the resumed metrics — counter totals, energy, metrics
 fingerprint, flight fingerprint, series rows — to match the full run
 EXACTLY (these are deterministic integers and bit-exact doubles, not
-tolerance bands), schema-checks the resumed series JSONL via
-check_bench.py's validator, and optionally diffs the full run's metrics
-against a golden envelope entry in BENCH_BASELINE.json.
+tolerance bands) and schema-checks the resumed series JSONL via
+check_bench.py's validator.
 
-On a resume divergence or envelope breach the runner prints the exact
-commands to replay the failure from the saved checkpoint and to bisect it
-by re-checkpointing at the midpoint of the diverging window — the
-workflow docs/SCENARIOS.md describes.
+On a resume divergence the runner prints the exact commands to replay the
+failure from the saved checkpoint and to bisect it by re-checkpointing at
+the midpoint of the diverging window — the workflow docs/SCENARIOS.md
+describes.
 
     soak_runner.py --bench build/bench/bench_soak_corpus --out /tmp/soak \
-        --scenarios 3 --sim-time 60 --checkpoint-at 0.5 \
-        [--baseline BENCH_BASELINE.json --name soak_corpus [--update]]
+        --scenarios 3 --sim-time 60 --checkpoint-at 0.5
 
-Exit code: 0 when every scenario resumes bit-identically (and matches the
-envelope, if given); 1 otherwise; 2 on usage error.
+Exit code: 0 when every scenario resumes bit-identically; 1 otherwise; 2 on
+usage error.
 """
 
 import argparse
@@ -58,13 +56,9 @@ def load_metrics(path):
         return json.load(f).get("metrics", {})
 
 
-def scenario_name(seed, index):
-    return f"gen_{seed}_{index}"
-
-
 def drill(args, index):
-    """Run save/resume/full for one scenario; returns (failures, full_json)."""
-    name = scenario_name(args.corpus_seed, index)
+    """Run save/resume/full for one scenario; returns its failure count."""
+    name = f"gen_{args.corpus_seed}_{index}"
     prefix = os.path.join(args.out, name)
     ckpt = prefix + ".ckpt"
     common = [
@@ -79,7 +73,7 @@ def drill(args, index):
                        f"--manifest-dir={args.out}"])
     if rc != 0 or not os.path.exists(ckpt):
         print(f"error: {name}: save leg exited {rc}, no checkpoint written")
-        return 1, None
+        return 1
 
     series_prefix = os.path.join(args.out, "soak")
     rc = run(common + [f"--resume-from={ckpt}", f"--json={prefix}.resumed.json",
@@ -88,12 +82,12 @@ def drill(args, index):
         print(f"error: {name}: resume leg exited {rc}")
         print(f"  replay: {args.bench} --corpus-seed={args.corpus_seed} "
               f"--index={index} --sim-time={args.sim_time} --resume-from={ckpt}")
-        return 1, None
+        return 1
 
     rc = run(common + [f"--scenarios={index + 1}", f"--json={prefix}.full.json"])
     if rc != 0:
         print(f"error: {name}: uninterrupted reference run exited {rc}")
-        return 1, None
+        return 1
 
     failures = 0
     resumed = load_metrics(prefix + ".resumed.json")
@@ -120,31 +114,6 @@ def drill(args, index):
 
     if validate_series(f"{series_prefix}.{name}.series.jsonl"):
         failures += 1
-    return failures, prefix + ".full.json"
-
-
-def check_envelope(args, full_jsons):
-    """Diff every full run's metrics against the BENCH_BASELINE entry."""
-    tool = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "check_bench.py")
-    failures = 0
-    for index, path in enumerate(full_jsons):
-        cmd = [sys.executable, tool, f"--current={path}",
-               f"--baseline={args.baseline}", f"--name={args.name}"]
-        if args.update:
-            cmd.append("--update")
-        else:
-            cmd.append("--record-missing")
-        rc = subprocess.run(cmd).returncode
-        if rc != 0:
-            name = scenario_name(args.corpus_seed, index)
-            ckpt = os.path.join(args.out, name + ".ckpt")
-            print(f"{name}: outside the golden envelope.")
-            print(f"  resume from the saved checkpoint to investigate:\n"
-                  f"    {args.bench} --corpus-seed={args.corpus_seed} "
-                  f"--index={index} --sim-time={args.sim_time} "
-                  f"--resume-from={ckpt}")
-            failures += 1
     return failures
 
 
@@ -157,27 +126,13 @@ def main():
     ap.add_argument("--sim-time", type=float, default=60.0)
     ap.add_argument("--checkpoint-at", type=float, default=0.5,
                     help="cut point as a fraction of the horizon")
-    ap.add_argument("--baseline", help="BENCH_BASELINE.json for envelope diff")
-    ap.add_argument("--name", default="soak_corpus",
-                    help="baseline entry name (with --baseline)")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite the baseline entry instead of checking")
     args = ap.parse_args()
 
     if not (0.0 < args.checkpoint_at < 1.0):
         ap.error("--checkpoint-at must be a fraction in (0, 1)")
     os.makedirs(args.out, exist_ok=True)
 
-    failures = 0
-    full_jsons = []
-    for index in range(args.scenarios):
-        scenario_failures, full_json = drill(args, index)
-        failures += scenario_failures
-        if full_json:
-            full_jsons.append(full_json)
-
-    if args.baseline and full_jsons:
-        failures += check_envelope(args, full_jsons)
+    failures = sum(drill(args, index) for index in range(args.scenarios))
 
     if failures:
         print(f"\n{failures} failure(s) across {args.scenarios} scenario(s)")
